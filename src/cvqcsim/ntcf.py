@@ -18,8 +18,11 @@ check predicate is the decode biconditional) but NOT computationally
 claw-free — the public key carries the shift because public evaluation needs
 it.  Claw-freeness is enforced by interface discipline instead: server-side
 strategy code never receives key material, only honest post-measurement
-branch data.  An LWE-backed scheme could replace this behind the same four
-operations.
+branch data.
+
+The protocol imports these module functions directly (``keygen``,
+``eval_claw``, ``dec``, ``claw_partner``; ``chk`` for checks), so an
+LWE-backed scheme would replace them here, behind the same signatures.
 """
 
 from __future__ import annotations
@@ -113,6 +116,12 @@ def dec(sk: NtcfSecretKey, b: int, y: Bits) -> Bits | None:
     return x.xor(sk.shift) if b else x
 
 
+def claw_partner(sk: NtcfSecretKey, x: Bits) -> Bits:
+    """The other preimage of x's image: claws are exactly (x, x XOR s), so
+    claw_partner(sk, dec(sk, 0, y)) == dec(sk, 1, y) for every valid y."""
+    return Bits(x.value ^ sk.shift.value, x.width)
+
+
 def chk(pk: NtcfPublicKey, b: int, x: Bits, y: Bits) -> bool:
     """Public check predicate: true exactly when dec(sk, b, y) = x."""
     if x.width != pk.kappa or y.width != 2 * pk.kappa:
@@ -120,12 +129,3 @@ def chk(pk: NtcfPublicKey, b: int, x: Bits, y: Bits) -> bool:
     u = x.xor(pk.shift) if b else x
     return _permute(pk.perm_seed, u.concat(Bits(0, pk.kappa)), pk.kappa) == y
 
-
-class HiddenShiftNtcf:
-    """Default scheme object; protocol code goes through this indirection so a
-    different instantiation can be swapped in without touching callers."""
-
-    keygen = staticmethod(keygen)
-    eval_claw = staticmethod(eval_claw)
-    dec = staticmethod(dec)
-    chk = staticmethod(chk)

@@ -33,8 +33,19 @@ _BLOCK_BYTES = 64  # blake2b max digest; one block per counter tick
 
 
 def _stream_bits(seed: bytes, inp: Bits, out_len: int) -> int:
-    """First out_len bits of the entry's infinite stream, as an int."""
-    prefix = inp.width.to_bytes(4, "big") + inp.to_bytes()
+    """First out_len bits of the entry's infinite stream, as an int.
+
+    The stream is blake2b(width || value || counter) for counter = 0, 1, ...
+    (4-byte width, value in whole bytes, 4-byte counter); an output that fits
+    one block hashes once with counter 0.
+    """
+    width = inp.width
+    nbytes = (width + 7) // 8
+    if out_len <= 8 * _BLOCK_BYTES:
+        msg = (((width << (8 * nbytes)) | inp.value) << 32).to_bytes(nbytes + 8, "big")
+        digest = blake2b(msg, key=seed, digest_size=_BLOCK_BYTES).digest()
+        return int.from_bytes(digest, "big") >> (8 * _BLOCK_BYTES - out_len)
+    prefix = ((width << (8 * nbytes)) | inp.value).to_bytes(nbytes + 4, "big")
     chunks = []
     have = 0
     ctr = 0
@@ -65,11 +76,12 @@ class RandomOracle:
 
     def query(self, inp: Bits | bytes, out_len: int) -> Bits:
         inp = _as_bits(inp)
-        if not 1 <= out_len <= inp.width * inp.width:
-            raise ValueError(f"outLen {out_len} outside [1, |input|^2] for |input|={inp.width}")
         key = (inp.value, inp.width, out_len)
         hit = self.cache.get(key)
         if hit is None:
+            # a cached key passed this check when it was stored
+            if not 1 <= out_len <= inp.width * inp.width:
+                raise ValueError(f"outLen {out_len} outside [1, |input|^2] for |input|={inp.width}")
             hit = self.cache[key] = Bits(_stream_bits(self.seed, inp, out_len), out_len)
         return hit
 

@@ -6,8 +6,9 @@ which).  A session:
 
 1. **setup** — for the helper block, the test gadget 0 and the output gadgets
    1..L, the client samples a claw-free key pair, the server evaluates and
-   reports an image y, and the client inverts y under both branch bits.  The
-   honest server now holds (|x0> + |x1>)/sqrt2 per block.
+   reports an image y, and the client inverts y once and takes the other
+   preimage as its claw partner.  The honest server now holds
+   (|x0> + |x1>)/sqrt2 per block.
 
 2. **round dispatch** — one coin picks a bare standard-basis test round
    (probability 1/2); otherwise phases are injected (AddPhase) and a second
@@ -29,6 +30,10 @@ what makes transcript replay byte-exact.
 The sub-round functions are module-level and take their dependencies
 explicitly, so tests can drive a single round shape directly (e.g. hammer
 the Hadamard test with a fixed delta) without fighting the dispatcher.
+
+Transcript payloads that cost work to build (``Bits`` tokens, table
+payloads) are built only when the transcript is recording; bulk runs pass
+the shared non-recording ``NULL_TRANSCRIPT`` and skip that work.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from random import Random
 from .adversary import HELPER, ServerSession, Strategy
 from .bits import Bits
 from .gadget import KeyPair, PhasePair, PlusStateVector, TableMismatch, fidelity_ideal
-from .ntcf import dec, eval_claw, keygen
+from .ntcf import claw_partner, dec, eval_claw, keygen
 from .oracle import RandomOracle, fresh_pad, query
 from .tables import TagCollision, make_combine_table, make_phase_table, table_payload
 
@@ -51,30 +56,29 @@ P_QUIZ = 0.1  # dispatch probability of the scored (in-phase quiz) round
 
 
 class Transcript:
-    """Append-only message log; one JSON object per message."""
+    """Append-only message log; one JSON object per message.
 
-    __slots__ = ("entries",)
+    A non-recording transcript drops every message; callers check
+    ``recording`` before building a payload that costs work.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("entries", "recording")
+
+    def __init__(self, recording: bool = True) -> None:
         self.entries: list[dict] = []
+        self.recording = recording
 
     def say(self, sender: str, step: str, payload: dict) -> None:
-        self.entries.append(
-            {"seq": len(self.entries), "sender": sender, "step": step, "payload": payload}
-        )
+        if self.recording:
+            self.entries.append(
+                {"seq": len(self.entries), "sender": sender, "step": step, "payload": payload}
+            )
 
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(e, separators=(",", ":")) for e in self.entries) + "\n"
 
 
-class _NullTranscript(Transcript):
-    """Transcript sink for bulk runs (recording costs more than the round)."""
-
-    def say(self, sender: str, step: str, payload: dict) -> None:
-        pass
-
-
-NULL_TRANSCRIPT = _NullTranscript()
+NULL_TRANSCRIPT = Transcript(recording=False)  # shared sink for bulk runs
 
 
 @dataclass
@@ -119,6 +123,7 @@ def run_setup(
 
     The claw-free keys double as their own trapdoor in this mock, so the
     transcript records only block indices and images, not key material.
+    The shift is nonzero, so the two preimages always differ.
     """
     secrets = ClientSecrets(kappa, L)
     for idx in (HELPER, *range(L + 1)):
@@ -126,12 +131,12 @@ def run_setup(
         tr.say("client", "setup.block", {"idx": idx, "kappa": kappa})
         claw = eval_claw(km.pk, server_rng)
         y = session.setup_block(idx, claw)
-        tr.say("server", "setup.y", {"idx": idx, "y": y.token()})
+        if tr.recording:
+            tr.say("server", "setup.y", {"idx": idx, "y": y.token()})
         x0 = dec(km.sk, 0, y)
-        x1 = dec(km.sk, 1, y)
-        if x0 is None or x1 is None or x0 == x1:
+        if x0 is None:
             return None
-        secrets.keys[idx] = KeyPair(x0, x1)
+        secrets.keys[idx] = KeyPair(x0, claw_partner(km.sk, x0))
     return secrets
 
 
@@ -141,7 +146,8 @@ def run_stdb_test(
     """Standard-basis check: every reported string must be a branch key."""
     tr.say("client", "measure.std", {"idx": indices})
     resp = session.respond_std(indices)
-    tr.say("server", "reply.std", {"values": [b.token() for b in resp]})
+    if tr.recording:
+        tr.say("server", "reply.std", {"values": [b.token() for b in resp]})
     if len(resp) != len(indices):
         return False
     return all(r in secrets.keys[i] for i, r in zip(indices, resp))
@@ -172,9 +178,11 @@ def run_hadamard_test(
         tr.say("client", "reveal.phase", {"idx": idx, "v": v})
         session.dephase_reveal(idx, v)
     pad = fresh_pad(client_rng, kappa)
-    tr.say("client", "hadamard.pad", {"idx": idx, "pad": pad.token()})
+    if tr.recording:
+        tr.say("client", "hadamard.pad", {"idx": idx, "pad": pad.token()})
     d = session.respond_hadamard(idx, pad)
-    tr.say("server", "reply.hadamard", {"idx": idx, "d": d.token()})
+    if tr.recording:
+        tr.say("server", "reply.hadamard", {"idx": idx, "d": d.token()})
     if d.width != keys.x0.width + kappa:
         return False, None
     if d.suffix(kappa).is_zero:
@@ -206,7 +214,8 @@ def run_add_phase(
         table = make_phase_table(
             secrets.keys[HELPER], secrets.keys[i], (0, theta), kappa, oracle, client_rng
         )
-        tr.say("client", "phase.table", {"idx": i, "table": table_payload(table)})
+        if tr.recording:
+            tr.say("client", "phase.table", {"idx": i, "table": table_payload(table)})
         session.receive_phase_table(i, table)
     ok, parity = run_hadamard_test(
         session, tr, oracle, client_rng, HELPER, secrets.keys[HELPER], kappa, None, None
@@ -239,9 +248,11 @@ def _fold(
         table = make_combine_table(
             secrets.keys[base], secrets.keys[i], r0, r1, kappa, oracle, client_rng
         )
-        tr.say("client", "combine.table", {"base": base, "other": i, "table": table_payload(table)})
+        if tr.recording:
+            tr.say("client", "combine.table", {"base": base, "other": i, "table": table_payload(table)})
         r = session.respond_combine(base, i, table)
-        tr.say("server", "reply.combine", {"r": r.token()})
+        if tr.recording:
+            tr.say("server", "reply.combine", {"r": r.token()})
         ki, ti = secrets.keys[i], secrets.thetas[i]
         if r == r0:
             kk = KeyPair(kk.x0.concat(ki.x0), kk.x1.concat(ki.x1))
@@ -273,7 +284,8 @@ def _coin_check(
     if coin == "std":
         tr.say("client", "measure.std", {"idx": [base]})
         resp = session.respond_std([base])
-        tr.say("server", "reply.std", {"values": [b.token() for b in resp]})
+        if tr.recording:
+            tr.say("server", "reply.std", {"values": [b.token() for b in resp]})
         return len(resp) == 1 and resp[0] in kk
     delta = client_rng.choice((0, 4))
     ok, parity = run_hadamard_test(
@@ -387,11 +399,12 @@ def run_comp_round(
     flag = run_stdb_test(secrets, session, tr, [0])
     indices = list(range(1, secrets.L + 1))
     revealed = [secrets.keys[i] for i in indices]
-    tr.say(
-        "client",
-        "comp.reveal",
-        {"idx": indices, "keys": [[k.x0.token(), k.x1.token()] for k in revealed]},
-    )
+    if tr.recording:
+        tr.say(
+            "client",
+            "comp.reveal",
+            {"idx": indices, "keys": [[k.x0.token(), k.x1.token()] for k in revealed]},
+        )
     out = session.decode_outputs(indices, revealed)
     client_thetas = tuple(
         (secrets.thetas[i].theta1 - secrets.thetas[i].theta0) % 8 for i in indices

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .bits import Bits, parse_token
-from .oracle import OracleView, RandomOracle, query
+from .oracle import OracleView, RandomOracle
 
 Oracle = RandomOracle | OracleView
 
@@ -56,10 +56,15 @@ class LookupTable:
     group: str  # Z8 | XOR
 
 
+# Oracle inputs are pad || key, built with int shifts: this is the hot path
+# of every table build and lookup.
+
+
 def _mask(key: Bits, pad: Bits, group: str, kappa: int, oracle: Oracle) -> int | Bits:
+    inp = Bits((pad.value << key.width) | key.value, pad.width + key.width)
     if group == Z8:
-        return query(oracle, pad.concat(key), 3).value
-    return query(oracle, pad.concat(key), kappa)
+        return oracle.query(inp, 3).value
+    return oracle.query(inp, kappa)
 
 
 def encrypt(key: Bits, p: int | Bits, group: str, kappa: int, oracle: Oracle, rng: Random) -> Ciphertext:
@@ -74,7 +79,7 @@ def encrypt(key: Bits, p: int | Bits, group: str, kappa: int, oracle: Oracle, rn
     pad_rp = Bits(rng.getrandbits(kappa), kappa)
     m = _mask(key, pad_r, group, kappa, oracle)
     masked = (m + p) % 8 if group == Z8 else m.xor(p)
-    tag = query(oracle, pad_rp.concat(key), kappa)
+    tag = oracle.query(Bits((pad_rp.value << key.width) | key.value, kappa + key.width), kappa)
     return Ciphertext(pad_r, masked, pad_rp, tag)
 
 
@@ -85,9 +90,11 @@ def decrypt_row(table: LookupTable, key: Bits, oracle: Oracle, kappa: int) -> tu
     observable at small kappa), so the collision case is detected rather than
     silently resolved by row order.
     """
+    kv, kw = key
     found = None
     for idx, row in enumerate(table.rows):
-        if query(oracle, row.pad_rp.concat(key), kappa) == row.tag:
+        pad = row.pad_rp
+        if oracle.query(Bits((pad.value << kw) | kv, pad.width + kw), kappa) == row.tag:
             if found is not None:
                 raise TagCollision(f"key opens rows {found[0]} and {idx}")
             m = _mask(key, row.pad_r, table.group, kappa, oracle)
@@ -98,9 +105,10 @@ def decrypt_row(table: LookupTable, key: Bits, oracle: Oracle, kappa: int) -> tu
 
 def _cross_clean(rows: list[Ciphertext], keys: list[Bits], oracle: Oracle, kappa: int) -> bool:
     """True iff no intended key falsely opens another key's row."""
-    for i, key in enumerate(keys):
+    query = oracle.query
+    for i, (kv, kw) in enumerate(keys):
         for j, row in enumerate(rows):
-            if i != j and query(oracle, row.pad_rp.concat(key), kappa) == row.tag:
+            if i != j and query(Bits((row.pad_rp.value << kw) | kv, kappa + kw), kappa) == row.tag:
                 return False
     return True
 
