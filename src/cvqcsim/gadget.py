@@ -35,7 +35,7 @@ from random import Random
 from typing import NamedTuple
 
 from .bits import Bits, flip_bit, lowest_set_bit
-from .oracle import OracleView, RandomOracle, query
+from .oracle import OracleView, RandomOracle
 from .tables import LookupTable, decrypt_row
 
 Oracle = RandomOracle | OracleView
@@ -121,7 +121,8 @@ def decrypt_branch_phases(
     kappa = _table_kappa(table)
     out = []
     for x_b in g.keys:
-        hit = decrypt_row(table, helper_key_in_hand.concat(x_b), oracle, kappa)
+        key = ((helper_key_in_hand.value << x_b.width) | x_b.value, helper_key_in_hand.width + x_b.width)
+        hit = decrypt_row(table, key, oracle, kappa)
         if hit is None:
             raise TableMismatch("phase table has no row for a branch key")
         out.append(hit[1])
@@ -164,9 +165,11 @@ def std_sample(g: Gadget, rng: Random) -> tuple[int, Bits]:
 
 def branch_words(g: Gadget, pad: Bits, oracle: Oracle, kappa: int) -> tuple[Bits, Bits]:
     """w_b = x_b || H(pad || x_b, kappa) — the padded-Hadamard words."""
-    w0 = g.keys.x0.concat(query(oracle, pad.concat(g.keys.x0), kappa))
-    w1 = g.keys.x1.concat(query(oracle, pad.concat(g.keys.x1), kappa))
-    return w0, w1
+    words = []
+    for x in g.keys:
+        h = oracle.query(((pad.value << x.width) | x.value, pad.width + x.width), kappa)
+        words.append(Bits((x.value << kappa) | h.value, x.width + kappa))
+    return words[0], words[1]
 
 
 def parity_probs(g: Gadget) -> tuple[float, float]:
@@ -245,8 +248,11 @@ def combine_step(
     kappa = _table_kappa(table)
     r = {}
     for a in (0, 1):
+        x_a = g_a.keys[a]
+        head = x_a.value >> (x_a.width - kappa)  # first kappa bits
         for b in (0, 1):
-            hit = decrypt_row(table, g_a.keys[a].prefix(kappa).concat(g_b.keys[b]), oracle, kappa)
+            x_b = g_b.keys[b]
+            hit = decrypt_row(table, ((head << x_b.width) | x_b.value, kappa + x_b.width), oracle, kappa)
             if hit is None:
                 raise TableMismatch("combine table has no row for a branch pair")
             r[a, b] = hit[1]

@@ -31,7 +31,7 @@ from random import Random
 from typing import NamedTuple
 
 from .bits import Bits
-from .oracle import _stream_bits
+from .oracle import _stream_bits, prf_key
 
 _ROUNDS = 4
 
@@ -60,24 +60,26 @@ class ClawResult(NamedTuple):
     x1: Bits
 
 
-def _round_fn(seed: bytes, rnd: int, half: int, kappa: int) -> int:
+def _round_fn(keyed, rnd: int, half: int, kappa: int) -> int:
     # independent PRF per round: tag the round index above the input half
-    return _stream_bits(seed, Bits((rnd << kappa) | half, kappa + 8), kappa)
+    return _stream_bits(keyed, ((rnd << kappa) | half, kappa + 8), kappa)
 
 
 def _permute(seed: bytes, u: Bits, kappa: int) -> Bits:
     assert u.width == 2 * kappa
+    keyed = prf_key(seed)
     left, right = u.value >> kappa, u.value & ((1 << kappa) - 1)
     for rnd in range(_ROUNDS):
-        left, right = right, left ^ _round_fn(seed, rnd, right, kappa)
+        left, right = right, left ^ _round_fn(keyed, rnd, right, kappa)
     return Bits((left << kappa) | right, 2 * kappa)
 
 
 def _unpermute(seed: bytes, y: Bits, kappa: int) -> Bits:
     assert y.width == 2 * kappa
+    keyed = prf_key(seed)
     left, right = y.value >> kappa, y.value & ((1 << kappa) - 1)
     for rnd in reversed(range(_ROUNDS)):
-        left, right = right ^ _round_fn(seed, rnd, left, kappa), left
+        left, right = right ^ _round_fn(keyed, rnd, left, kappa), left
     return Bits((left << kappa) | right, 2 * kappa)
 
 
@@ -100,20 +102,22 @@ def eval_claw(pk: NtcfPublicKey, rng: Random) -> ClawResult:
     classically that is y plus the claw pair, which the caller turns into a
     two-branch gadget.
     """
-    u = Bits(rng.getrandbits(pk.kappa), pk.kappa)
-    y = _permute(pk.perm_seed, u.concat(Bits(0, pk.kappa)), pk.kappa)
-    return ClawResult(y=y, x0=u, x1=u.xor(pk.shift))
+    kappa = pk.kappa
+    u = rng.getrandbits(kappa)
+    y = _permute(pk.perm_seed, Bits(u << kappa, 2 * kappa), kappa)
+    return ClawResult(y=y, x0=Bits(u, kappa), x1=Bits(u ^ pk.shift.value, kappa))
 
 
 def dec(sk: NtcfSecretKey, b: int, y: Bits) -> Bits | None:
     """Trapdoor decode of branch b's preimage; None marks an invalid image."""
     if y.width != 2 * sk.kappa:
         return None
-    u = _unpermute(sk.perm_seed, y, sk.kappa)
-    if u.suffix(sk.kappa).value != 0:
+    kappa = sk.kappa
+    u = _unpermute(sk.perm_seed, y, kappa).value
+    if u & ((1 << kappa) - 1):
         return None
-    x = u.prefix(sk.kappa)
-    return x.xor(sk.shift) if b else x
+    x = Bits(u >> kappa, kappa)
+    return claw_partner(sk, x) if b else x
 
 
 def claw_partner(sk: NtcfSecretKey, x: Bits) -> Bits:

@@ -32,64 +32,76 @@ from .bits import Bits
 _BLOCK_BYTES = 64  # blake2b max digest; one block per counter tick
 
 
-def _stream_bits(seed: bytes, inp: Bits, out_len: int) -> int:
+def prf_key(seed: bytes) -> blake2b:
+    """blake2b state keyed by `seed`; ``_stream_bits`` copies it per block,
+    which costs less than keying a fresh hash each time."""
+    return blake2b(key=seed, digest_size=_BLOCK_BYTES)
+
+
+def _stream_bits(keyed: blake2b, inp: tuple[int, int], out_len: int) -> int:
     """First out_len bits of the entry's infinite stream, as an int.
 
-    The stream is blake2b(width || value || counter) for counter = 0, 1, ...
-    (4-byte width, value in whole bytes, 4-byte counter); an output that fits
-    one block hashes once with counter 0.
+    `keyed` comes from ``prf_key(seed)`` and `inp` is a (value, width) pair
+    (Bits is one).  The stream is blake2b(width || value || counter) for
+    counter = 0, 1, ... (4-byte width, value in whole bytes, 4-byte counter);
+    an output that fits one block hashes once with counter 0.
     """
-    width = inp.width
+    value, width = inp
     nbytes = (width + 7) // 8
     if out_len <= 8 * _BLOCK_BYTES:
-        msg = (((width << (8 * nbytes)) | inp.value) << 32).to_bytes(nbytes + 8, "big")
-        digest = blake2b(msg, key=seed, digest_size=_BLOCK_BYTES).digest()
-        return int.from_bytes(digest, "big") >> (8 * _BLOCK_BYTES - out_len)
-    prefix = ((width << (8 * nbytes)) | inp.value).to_bytes(nbytes + 4, "big")
+        h = keyed.copy()
+        h.update((((width << (8 * nbytes)) | value) << 32).to_bytes(nbytes + 8, "big"))
+        return int.from_bytes(h.digest(), "big") >> (8 * _BLOCK_BYTES - out_len)
+    prefix = ((width << (8 * nbytes)) | value).to_bytes(nbytes + 4, "big")
     chunks = []
-    have = 0
-    ctr = 0
-    while have < out_len:
-        chunks.append(blake2b(prefix + ctr.to_bytes(4, "big"), key=seed, digest_size=_BLOCK_BYTES).digest())
-        have += 8 * _BLOCK_BYTES
-        ctr += 1
+    for ctr in range((out_len + 8 * _BLOCK_BYTES - 1) // (8 * _BLOCK_BYTES)):
+        h = keyed.copy()
+        h.update(prefix + ctr.to_bytes(4, "big"))
+        chunks.append(h.digest())
     raw = b"".join(chunks)
     return int.from_bytes(raw, "big") >> (8 * len(raw) - out_len)
 
 
-def _as_bits(inp: Bits | bytes) -> Bits:
-    if isinstance(inp, Bits):
-        return inp
+def _as_bits(inp: tuple[int, int] | bytes) -> Bits:
+    if isinstance(inp, tuple):
+        return Bits(*inp)
     return Bits(int.from_bytes(inp, "big"), 8 * len(inp))
 
 
 class RandomOracle:
-    """Lazy random map {0,1}* -> {0,1}^outLen, seeded, memoized."""
+    """Lazy random map {0,1}* -> {0,1}^outLen, seeded, memoized.
 
-    __slots__ = ("seed", "cache")
+    Inputs are Bits, plain (value, width) pairs — which hot callers build
+    instead of a Bits — or bytes.
+    """
+
+    __slots__ = ("seed", "keyed", "cache")
 
     def __init__(self, seed: bytes):
         if len(seed) != 32:
             raise ValueError("oracle seed must be 32 bytes")
         self.seed = seed
-        self.cache: dict[tuple[int, int, int], Bits] = {}
+        self.keyed = prf_key(seed)
+        self.cache: dict[tuple[tuple[int, int], int], Bits] = {}
 
-    def query(self, inp: Bits | bytes, out_len: int) -> Bits:
-        inp = _as_bits(inp)
-        key = (inp.value, inp.width, out_len)
+    def query(self, inp: tuple[int, int] | bytes, out_len: int) -> Bits:
+        if not isinstance(inp, tuple):
+            inp = _as_bits(inp)
+        key = (inp, out_len)  # a pair and the equal Bits share one entry
         hit = self.cache.get(key)
         if hit is None:
             # a cached key passed this check when it was stored
-            if not 1 <= out_len <= inp.width * inp.width:
-                raise ValueError(f"outLen {out_len} outside [1, |input|^2] for |input|={inp.width}")
-            hit = self.cache[key] = Bits(_stream_bits(self.seed, inp, out_len), out_len)
+            width = inp[1]
+            if not 1 <= out_len <= width * width:
+                raise ValueError(f"outLen {out_len} outside [1, |input|^2] for |input|={width}")
+            hit = self.cache[key] = Bits(_stream_bits(self.keyed, inp, out_len), out_len)
         return hit
 
 
 class OracleView:
     """Blinded view: pattern-matching queries resampled, rest forwarded."""
 
-    __slots__ = ("base", "patterns", "resample_seed", "cache")
+    __slots__ = ("base", "patterns", "resample_seed", "resample_keyed", "cache")
 
     def __init__(self, base: RandomOracle, patterns: list[tuple[int, Bits]], resample_seed: bytes):
         for pad_len, key in patterns:
@@ -100,6 +112,7 @@ class OracleView:
         self.base = base
         self.patterns = list(patterns)
         self.resample_seed = resample_seed
+        self.resample_keyed = prf_key(resample_seed)
         self.cache: dict[tuple[int, int, int], Bits] = {}
 
     def _blinded(self, inp: Bits) -> bool:
@@ -109,7 +122,7 @@ class OracleView:
                 return True
         return False
 
-    def query(self, inp: Bits | bytes, out_len: int) -> Bits:
+    def query(self, inp: tuple[int, int] | bytes, out_len: int) -> Bits:
         inp = _as_bits(inp)
         if not 1 <= out_len <= inp.width * inp.width:
             raise ValueError(f"outLen {out_len} outside [1, |input|^2] for |input|={inp.width}")
@@ -118,11 +131,11 @@ class OracleView:
         key = (inp.value, inp.width, out_len)
         hit = self.cache.get(key)
         if hit is None:
-            hit = self.cache[key] = Bits(_stream_bits(self.resample_seed, inp, out_len), out_len)
+            hit = self.cache[key] = Bits(_stream_bits(self.resample_keyed, inp, out_len), out_len)
         return hit
 
 
-def query(oracle: RandomOracle | OracleView, inp: Bits | bytes, out_len: int) -> Bits:
+def query(oracle: RandomOracle | OracleView, inp: tuple[int, int] | bytes, out_len: int) -> Bits:
     return oracle.query(inp, out_len)
 
 

@@ -56,12 +56,13 @@ class LookupTable:
     group: str  # Z8 | XOR
 
 
-# Oracle inputs are pad || key, built with int shifts: this is the hot path
-# of every table build and lookup.
+# Oracle inputs are pad || key as plain (value, width) pairs, built with int
+# shifts: this is the hot path of every table build and lookup.
 
 
-def _mask(key: Bits, pad: Bits, group: str, kappa: int, oracle: Oracle) -> int | Bits:
-    inp = Bits((pad.value << key.width) | key.value, pad.width + key.width)
+def _mask(key: tuple[int, int], pad: Bits, group: str, kappa: int, oracle: Oracle) -> int | Bits:
+    kv, kw = key
+    inp = ((pad.value << kw) | kv, pad.width + kw)
     if group == Z8:
         return oracle.query(inp, 3).value
     return oracle.query(inp, kappa)
@@ -79,12 +80,15 @@ def encrypt(key: Bits, p: int | Bits, group: str, kappa: int, oracle: Oracle, rn
     pad_rp = Bits(rng.getrandbits(kappa), kappa)
     m = _mask(key, pad_r, group, kappa, oracle)
     masked = (m + p) % 8 if group == Z8 else m.xor(p)
-    tag = oracle.query(Bits((pad_rp.value << key.width) | key.value, kappa + key.width), kappa)
+    tag = oracle.query(((pad_rp.value << key.width) | key.value, kappa + key.width), kappa)
     return Ciphertext(pad_r, masked, pad_rp, tag)
 
 
-def decrypt_row(table: LookupTable, key: Bits, oracle: Oracle, kappa: int) -> tuple[int, int | Bits] | None:
-    """Find the unique row opened by `key`; None if none, TagCollision if several.
+def decrypt_row(
+    table: LookupTable, key: tuple[int, int], oracle: Oracle, kappa: int
+) -> tuple[int, int | Bits] | None:
+    """Find the unique row opened by `key` (Bits, or a (value, width) pair);
+    None if none, TagCollision if several.
 
     Every row is checked (a false tag match has probability 2^-kappa per row,
     observable at small kappa), so the collision case is detected rather than
@@ -94,7 +98,7 @@ def decrypt_row(table: LookupTable, key: Bits, oracle: Oracle, kappa: int) -> tu
     found = None
     for idx, row in enumerate(table.rows):
         pad = row.pad_rp
-        if oracle.query(Bits((pad.value << kw) | kv, pad.width + kw), kappa) == row.tag:
+        if oracle.query(((pad.value << kw) | kv, pad.width + kw), kappa) == row.tag:
             if found is not None:
                 raise TagCollision(f"key opens rows {found[0]} and {idx}")
             m = _mask(key, row.pad_r, table.group, kappa, oracle)
@@ -108,7 +112,7 @@ def _cross_clean(rows: list[Ciphertext], keys: list[Bits], oracle: Oracle, kappa
     query = oracle.query
     for i, (kv, kw) in enumerate(keys):
         for j, row in enumerate(rows):
-            if i != j and query(Bits((row.pad_rp.value << kw) | kv, kappa + kw), kappa) == row.tag:
+            if i != j and query(((row.pad_rp.value << kw) | kv, kappa + kw), kappa) == row.tag:
                 return False
     return True
 
