@@ -10,7 +10,8 @@ Subcommands:
 * ``selftest`` — exact cross-checks of the fast paths against brute force.
 
 Exit codes: 0 success, 1 protocol rejection (amplify) or selftest failure,
-2 usage errors.  Seeds are hex strings; every report echoes the master seed
+2 usage errors — bad arguments, out-of-range sizes, unreadable or malformed
+config files — reported as one ``error:`` line on stderr.  Seeds are hex strings; every report echoes the master seed
 it actually used, so any run can be replayed bit-exactly.
 """
 
@@ -142,6 +143,8 @@ def cmd_amplify(args) -> int:
         L = raw.get("L", L)
         kappa = raw.get("kappa", kappa)
         if "seed" in raw:
+            if not isinstance(raw["seed"], str):
+                raise ValueError(f"config seed must be a hex string, got {raw['seed']!r}")
             seed = bytes.fromhex(raw["seed"])
         for src, dst in (("N_temp", "n_temp"), ("win_slack", "win_slack"), ("N_rspv", "n_rspv")):
             if src in raw:
@@ -149,11 +152,7 @@ def cmd_amplify(args) -> int:
     for flag, dst in ((args.n_temp, "n_temp"), (args.win_slack, "win_slack"), (args.n_rspv, "n_rspv")):
         if flag is not None:
             cfg_fields[dst] = flag
-    try:
-        cfg = amp.AmplificationConfig(**cfg_fields)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cfg = amp.AmplificationConfig(**cfg_fields)
     master = master_seed_from(seed if seed is not None else Random().randbytes(32))
     rng = Random(master)
     if args.mode == "rspv":
@@ -260,7 +259,11 @@ def main(argv=None) -> int:
         "bench": cmd_bench,
         "selftest": cmd_selftest,
     }[args.cmd]
-    return handler(args)
+    try:
+        return handler(args)
+    except (ValueError, OSError) as e:  # json.JSONDecodeError is a ValueError
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

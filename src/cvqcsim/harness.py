@@ -23,7 +23,7 @@ from random import Random
 
 from .adversary import Strategy, parse_strategy
 from .oracle import derive_seed
-from .protocol import run_pre_rspv
+from .protocol import check_size, run_pre_rspv
 
 #: bucket names in dispatch order; quiz = the scored in-phase round
 BUCKETS = ("test", "quiz", "comp")
@@ -139,8 +139,9 @@ def estimate_rates(
     With workers > 1, sessions fan out over a process pool; the strategy is
     shipped as its spec dict and rebuilt per worker, and since every session
     seed comes from the master seed by counter, the aggregate is identical
-    to the serial run.
+    to the serial run.  Raises ValueError on L < 1, kappa < 2 or sessions < 1.
     """
+    check_size(L, kappa)
     if sessions < 1:
         raise ValueError("sessions must be >= 1")
     master = master_seed_from(rng)

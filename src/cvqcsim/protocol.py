@@ -55,6 +55,16 @@ _PREP_MENU = ("prep:stdb", "prep:coph", "prep:inph", "prep:bn", "comp")
 P_QUIZ = 0.1  # dispatch probability of the scored (in-phase quiz) round
 
 
+def check_size(L: int, kappa: int) -> None:
+    """Reject session sizes the protocol is undefined for: no output gadget
+    (L < 1; the branch-number test would redraw an empty subset forever) or
+    a degenerate shift space (kappa < 2)."""
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
+    if kappa < 2:
+        raise ValueError(f"kappa must be >= 2, got {kappa}")
+
+
 class Transcript:
     """Append-only message log; one JSON object per message.
 
@@ -435,8 +445,9 @@ def run_pre_rspv(
 
     `force_plan` / `force_coin` pin the dispatch for instrumented runs; the
     natural coins are still drawn first so the client RNG stream stays
-    aligned with unforced sessions.
+    aligned with unforced sessions.  Raises ValueError on L < 1 or kappa < 2.
     """
+    check_size(L, kappa)
     if not isinstance(seed, (type(None), int, float, str, bytes, bytearray)):
         seed = repr(seed)  # hash-based Random seeding is deprecated; stringify
     master = Random(seed)

@@ -118,6 +118,12 @@ def test_estimate_rates_rejects_empty_run():
         estimate_rates(1, 8, 0, adv.honest(), 1)
 
 
+@pytest.mark.parametrize("L, kappa, sessions", [(0, 8, 10), (-1, 8, 10), (2, 1, 10), (2, 8, 0)])
+def test_estimate_rates_rejects_degenerate_sizes(L, kappa, sessions):
+    with pytest.raises(ValueError):
+        estimate_rates(L, kappa, sessions, adv.honest(), 1, force_plan="prep:bn")
+
+
 # -- scaling bench ----------------------------------------------------------------
 
 
@@ -165,6 +171,29 @@ def test_cli_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["bench", "--L-grid", "4,2"])
     assert e.value.code == 2
+
+
+def _cli_error(argv, capsys) -> str:
+    """Run argv, expect usage-error exit 2, return the one stderr line."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys):
+    assert "sessions" in _cli_error(["stats", "--sessions", "0", "--kappa", "6"], capsys)
+    assert "kappa" in _cli_error(["stats", "--kappa", "1", "--sessions", "5"], capsys)
+    assert "L must be" in _cli_error(["run", "--L", "0", "--force-plan", "prep:bn"], capsys)
+    assert "L must be" in _cli_error(["run", "--L", "-1"], capsys)
+    _cli_error(["amplify", "--config", str(tmp_path / "missing.json")], capsys)
+    for bad_seed in ("zz", 7):
+        cfg = tmp_path / "bad_seed.json"
+        cfg.write_text(json.dumps({"L": 1, "kappa": 8, "N_temp": 10, "seed": bad_seed}))
+        _cli_error(["amplify", "--config", str(cfg)], capsys)
+    cfg = tmp_path / "not_json.json"
+    cfg.write_text("{not json")
+    _cli_error(["amplify", "--config", str(cfg)], capsys)
 
 
 def test_cli_stats_reports_json(capsys):

@@ -45,6 +45,22 @@ def drive_setup(strategy, seed, kappa, L):
     return session, secrets, oracle, client_rng
 
 
+# -- input boundary ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"L": 0, "force_plan": "prep:bn"},  # used to redraw an empty BN subset forever
+        {"L": -1},  # used to run a session with no output gadgets
+        {"kappa": 1},
+    ],
+)
+def test_run_pre_rspv_rejects_degenerate_sizes(kwargs):
+    with pytest.raises(ValueError):
+        run_pre_rspv(adv.honest(), "size", **{"kappa": 8, "L": 2, **kwargs})
+
+
 # -- transcript mechanics ------------------------------------------------------
 
 
