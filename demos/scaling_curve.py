@@ -15,10 +15,10 @@ SESSIONS_PER_L = 8
 
 def main():
     rep = scaling_bench(KAPPA, GRID, SESSIONS_PER_L, b"scaling-demo")
-    print(f"kappa={KAPPA}, {SESSIONS_PER_L} sessions per point (trimmed mean)\n")
+    print(f"kappa={KAPPA}, {SESSIONS_PER_L} sessions per point (median, timed round-robin)\n")
     print(f"{'L':>6} {'ms/session':>12} {'us/gadget':>11}")
     for row in rep.rows:
-        print(f"{row['L']:>6} {row['mean_s'] * 1e3:>12.2f} {row['mean_s'] / row['L'] * 1e6:>11.2f}")
+        print(f"{row['L']:>6} {row['median_s'] * 1e3:>12.2f} {row['median_s'] / row['L'] * 1e6:>11.2f}")
     ratios = ", ".join(f"{r:.3f}" for r in rep.doubling_ratios)
     print(f"\ndoubling ratios (time ratio / L ratio): {ratios}")
     print("flat us/gadget and ratios near 1.0 = the whole client+server loop")

@@ -15,8 +15,10 @@ it (the CLI exposes --timing).
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import statistics
 import time
 from dataclasses import dataclass, field
 from random import Random
@@ -202,7 +204,7 @@ class BenchReport:
     kappa: int
     sessions_per_l: int
     seed: str
-    rows: list[dict]  # {"L": int, "mean_s": float}
+    rows: list[dict]  # {"L": int, "median_s": float}
     doubling_ratios: list[float]  # time ratio per L doubling, normalized by L ratio
 
     def to_dict(self) -> dict:
@@ -221,10 +223,17 @@ class BenchReport:
 def scaling_bench(kappa: int, l_grid: list[int], sessions_per_l: int, rng) -> BenchReport:
     """Session wall-clock per L, honest strategy forced into the
     state-preparation (computation) branch — the branch whose work is
-    linear in L end to end.  Sessions are timed individually and ``mean_s``
-    is a 10%-trimmed mean, so a single GC pause or scheduler hiccup cannot
-    skew a row.  Timing is the payload here, so bench reports are exempt
-    from byte-replay.
+    linear in L end to end.
+
+    The grid is timed round-robin — each pass runs one session at every L —
+    and ``median_s`` is the median per L.  Host speed drifts over a run;
+    timing each L as one block in turn put that drift between the rows and
+    into the doubling ratios, while a pass spreads it over all of them.
+    Each timed session runs with the cyclic garbage collector paused, after
+    an untimed collection (as ``timeit`` does): when a full collection fires
+    depends on allocation counts, and its cost on how much a session holds,
+    which made single rows jump.  Timing is the payload here, so bench
+    reports are exempt from byte-replay.
     """
     if list(l_grid) != sorted(l_grid) or len(l_grid) < 1:
         raise ValueError("l_grid must be ascending and nonempty")
@@ -232,24 +241,28 @@ def scaling_bench(kappa: int, l_grid: list[int], sessions_per_l: int, rng) -> Be
 
     master = master_seed_from(rng)
     strat = honest()
-    rows = []
     for L in l_grid:
         # one throwaway session warms caches/allocators at this size
         run_pre_rspv(strat, derive_seed(master, f"warm-{L}", 0), kappa=kappa, L=L, force_plan="comp")
-        times = []
+    times: dict[int, list[float]] = {L: [] for L in l_grid}
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
         for i in range(sessions_per_l):
-            t0 = time.perf_counter()
-            run_pre_rspv(
-                strat, derive_seed(master, f"bench-{L}", i), kappa=kappa, L=L, force_plan="comp"
-            )
-            times.append(time.perf_counter() - t0)
-        times.sort()
-        trim = len(times) // 10 if len(times) >= 10 else 0
-        kept = times[trim : len(times) - trim] if trim else times
-        rows.append({"L": L, "mean_s": sum(kept) / len(kept)})
+            for L in l_grid:
+                gc.collect()
+                t0 = time.perf_counter()
+                run_pre_rspv(
+                    strat, derive_seed(master, f"bench-{L}", i), kappa=kappa, L=L, force_plan="comp"
+                )
+                times[L].append(time.perf_counter() - t0)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    rows = [{"L": L, "median_s": statistics.median(times[L])} for L in l_grid]
     ratios = []
     for a, b in zip(rows, rows[1:]):
-        ratios.append((b["mean_s"] / a["mean_s"]) / (b["L"] / a["L"]))
+        ratios.append((b["median_s"] / a["median_s"]) / (b["L"] / a["L"]))
     return BenchReport(
         kappa=kappa,
         sessions_per_l=sessions_per_l,

@@ -130,7 +130,7 @@ def test_estimate_rates_rejects_degenerate_sizes(L, kappa, sessions):
 def test_scaling_bench_shape():
     rep = scaling_bench(6, [1, 2, 4], 2, b"bench-shape")
     assert [row["L"] for row in rep.rows] == [1, 2, 4]
-    assert all(row["mean_s"] > 0 for row in rep.rows)
+    assert all(row["median_s"] > 0 for row in rep.rows)
     assert len(rep.doubling_ratios) == 2
     assert all(r > 0 for r in rep.doubling_ratios)
     parsed = json.loads(rep.to_json())

@@ -143,3 +143,21 @@ def test_claw_result_fields():
     assert isinstance(res, ClawResult)
     assert res.y.width == 16 and res.x0.width == res.x1.width == 8
     assert res.x0.xor(res.x1) == km.sk.shift
+
+
+def test_claw_partner_matches_branch_one_decode_exhaustive():
+    # claw_partner(sk, dec(sk, 0, y)) == dec(sk, 1, y) over the whole kappa=3 cube
+    from cvqcsim.ntcf import claw_partner
+
+    for key_seed in range(4):
+        km = keygen(3, random.Random(key_seed))
+        valid = 0
+        for yv in range(64):
+            y = Bits(yv, 6)
+            x0 = dec(km.sk, 0, y)
+            if x0 is None:
+                assert dec(km.sk, 1, y) is None
+                continue
+            valid += 1
+            assert claw_partner(km.sk, x0) == dec(km.sk, 1, y)
+        assert valid == 8  # one image per u in {0,1}^3

@@ -1,0 +1,82 @@
+"""Noise-free work counts on the session hot path.
+
+Counters are installed by monkeypatching the names the code looks up at
+call time (``protocol.dec``, ``protocol.table_payload``, ``Bits.token``, the
+module-global ``_stream_bits`` in ``ntcf`` and ``oracle``), so these tests
+pin how much work a session does without timing anything.
+"""
+
+from collections import Counter
+
+import pytest
+
+import cvqcsim.adversary as adv
+import cvqcsim.ntcf as ntcf
+import cvqcsim.oracle as oracle
+import cvqcsim.protocol as protocol
+from cvqcsim.bits import Bits
+from cvqcsim.protocol import ROUND_TYPES, run_pre_rspv
+
+STRATEGIES = ("honest", "conjugate", "ghz_collapse", "random_response", "corrupt_setup")
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counter of calls to each patched name; returns (counter, patch)."""
+    tally: Counter = Counter()
+
+    def patch(owner, attr, label):
+        fn = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            tally[label] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    return tally, patch
+
+
+def test_one_trapdoor_inversion_per_setup_block(counts):
+    tally, patch = counts
+    patch(protocol, "dec", "dec")
+    L = 8
+    for i, plan in enumerate(ROUND_TYPES):
+        tally.clear()
+        out = run_pre_rspv(adv.honest(), f"dec-{i}", kappa=16, L=L, force_plan=plan)
+        assert out.round_type == plan
+        assert tally["dec"] == L + 2  # helper, test gadget 0, outputs 1..L
+
+
+def test_no_payload_or_token_work_unless_recording(counts):
+    tally, patch = counts
+    patch(protocol, "table_payload", "payload")
+    patch(Bits, "token", "token")
+    for name in STRATEGIES:
+        for plan in ROUND_TYPES:
+            run_pre_rspv(adv.parse_strategy(name), f"lazy-{plan}", kappa=8, L=3, force_plan=plan)
+    assert tally == Counter()
+    # the same sessions recorded do reach both counters
+    for plan in ("prep:coph", "comp"):
+        run_pre_rspv(adv.honest(), f"lazy-{plan}", kappa=8, L=3, force_plan=plan, collect_transcript=True)
+    assert tally["payload"] > 0 and tally["token"] > 0
+
+
+def test_prf_calls_per_gadget_are_linear_in_L(counts):
+    # the work ACCEPT-09 times (honest comp rounds), counted instead of timed
+    tally, patch = counts
+    patch(ntcf, "_stream_bits", "ntcf")
+    patch(oracle, "_stream_bits", "oracle")
+    per_gadget = {}
+    for L, sessions in ((128, 4), (512, 1)):
+        tally.clear()
+        for i in range(sessions):
+            run_pre_rspv(adv.honest(), f"lin-{L}-{i}", kappa=16, L=L, force_plan="comp")
+        gadgets = L * sessions
+        per_gadget[L] = {k: tally[k] / gadgets for k in ("ntcf", "oracle")}
+        assert per_gadget[L]["ntcf"] == 8 * (L + 2) / L  # 4 Feistel rounds each way per block
+    for k in ("ntcf", "oracle"):
+        ratio = per_gadget[512][k] / per_gadget[128][k]
+        assert abs(ratio - 1) <= 0.05, (k, per_gadget)
+    total = {L: sum(c.values()) for L, c in per_gadget.items()}
+    assert abs(total[512] / total[128] - 1) <= 0.05, total
