@@ -82,8 +82,7 @@ class PhasePair(NamedTuple):
     theta1: int
 
 
-@dataclass(frozen=True, slots=True)
-class Gadget:
+class Gadget(NamedTuple):
     keys: KeyPair
     amp0: complex
     amp1: complex

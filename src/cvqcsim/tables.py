@@ -26,8 +26,8 @@ honest path never trips over one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .bits import Bits, parse_token
 from .oracle import OracleView, RandomOracle
@@ -42,16 +42,14 @@ class TagCollision(Exception):
     """More than one row's authentication tag matched the key."""
 
 
-@dataclass(frozen=True, slots=True)
-class Ciphertext:
+class Ciphertext(NamedTuple):
     pad_r: Bits
     masked: int | Bits  # int in Z8 tables, Bits(kappa) in XOR tables
     pad_rp: Bits
     tag: Bits
 
 
-@dataclass(frozen=True, slots=True)
-class LookupTable:
+class LookupTable(NamedTuple):
     rows: tuple[Ciphertext, ...]
     group: str  # Z8 | XOR
 
