@@ -11,8 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 protocol rejection (amplify) or selftest failure,
 2 usage errors — bad arguments, out-of-range sizes, unreadable or malformed
-config files — reported as one ``error:`` line on stderr.  Seeds are hex strings; every report echoes the master seed
-it actually used, so any run can be replayed bit-exactly.
+config files — reported as one ``error:`` line on stderr.  Seeds are hex
+strings; every report echoes the master seed it actually used, so any run
+can be replayed bit-exactly.
 """
 
 from __future__ import annotations

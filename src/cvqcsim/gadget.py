@@ -119,9 +119,9 @@ def decrypt_branch_phases(
     """What the server learns per branch from a phase table: (theta0, theta1)."""
     kappa = _table_kappa(table)
     out = []
+    hv, hw = helper_key_in_hand
     for x_b in g.keys:
-        key = ((helper_key_in_hand.value << x_b.width) | x_b.value, helper_key_in_hand.width + x_b.width)
-        hit = decrypt_row(table, key, oracle, kappa)
+        hit = decrypt_row(table, ((hv << x_b.width) | x_b.value, hw + x_b.width), oracle, kappa)
         if hit is None:
             raise TableMismatch("phase table has no row for a branch key")
         out.append(hit[1])

@@ -63,6 +63,8 @@ def _stream_bits(keyed: blake2b, inp: tuple[int, int], out_len: int) -> int:
 
 
 def _as_bits(inp: tuple[int, int] | bytes) -> Bits:
+    if isinstance(inp, Bits):
+        return inp
     if isinstance(inp, tuple):
         return Bits(*inp)
     return Bits(int.from_bytes(inp, "big"), 8 * len(inp))
