@@ -84,16 +84,16 @@ class RandomOracle:
             raise ValueError("oracle seed must be 32 bytes")
         self.seed = seed
         self.keyed = prf_key(seed)
-        self.cache: dict[tuple[tuple[int, int], int], Bits] = {}
+        self.cache: dict[tuple[int, int, int], Bits] = {}
 
     def query(self, inp: tuple[int, int] | bytes, out_len: int) -> Bits:
         if not isinstance(inp, tuple):
             inp = _as_bits(inp)
-        key = (inp, out_len)  # a pair and the equal Bits share one entry
+        value, width = inp
+        key = (value, width, out_len)
         hit = self.cache.get(key)
         if hit is None:
             # a cached key passed this check when it was stored
-            width = inp[1]
             if not 1 <= out_len <= width * width:
                 raise ValueError(f"outLen {out_len} outside [1, |input|^2] for |input|={width}")
             hit = self.cache[key] = Bits(_stream_bits(self.keyed, inp, out_len), out_len)
