@@ -35,7 +35,7 @@ from .gadget import (
 from .harness import estimate_rates, master_seed_from, scaling_bench
 from .ntcf import chk, keygen
 from .oracle import RandomOracle
-from .protocol import ROUND_TYPES, run_pre_rspv
+from .protocol import ROUND_TYPES, check_size, run_pre_rspv
 
 
 def _strategy_arg(text: str):
@@ -135,26 +135,30 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_amplify(args) -> int:
+def _resolve_amplify(args) -> None:
+    """Merge the --config file into args (flags win) and build ``args.cfg``."""
     cfg_fields = {}
-    L, kappa, seed = args.L, args.kappa, args.seed
     if args.config:
         with open(args.config) as f:
             raw = json.load(f)
-        L = raw.get("L", L)
-        kappa = raw.get("kappa", kappa)
+        args.L = raw.get("L", args.L)
+        args.kappa = raw.get("kappa", args.kappa)
         if "seed" in raw:
             if not isinstance(raw["seed"], str):
                 raise ValueError(f"config seed must be a hex string, got {raw['seed']!r}")
-            seed = bytes.fromhex(raw["seed"])
+            args.seed = bytes.fromhex(raw["seed"])
         for src, dst in (("N_temp", "n_temp"), ("win_slack", "win_slack"), ("N_rspv", "n_rspv")):
             if src in raw:
                 cfg_fields[dst] = raw[src]
     for flag, dst in ((args.n_temp, "n_temp"), (args.win_slack, "win_slack"), (args.n_rspv, "n_rspv")):
         if flag is not None:
             cfg_fields[dst] = flag
-    cfg = amp.AmplificationConfig(**cfg_fields)
-    master = master_seed_from(seed if seed is not None else Random().randbytes(32))
+    args.cfg = amp.AmplificationConfig(**cfg_fields)
+
+
+def cmd_amplify(args) -> int:
+    L, kappa, cfg = args.L, args.kappa, args.cfg
+    master = master_seed_from(args.seed if args.seed is not None else Random().randbytes(32))
     rng = Random(master)
     if args.mode == "rspv":
         res = amp.run_rspv(L, kappa, cfg, args.strategy, rng)
@@ -250,6 +254,22 @@ def cmd_selftest(_args) -> int:
     return 1 if failed else 0
 
 
+def _check_input(args) -> None:
+    """Validate what argparse cannot — sizes, the amplify config file —
+    before any work starts.  Raises ValueError or OSError; errors past this
+    point are bugs and keep their traceback."""
+    if args.cmd == "amplify":
+        _resolve_amplify(args)
+    if args.cmd in ("run", "stats", "amplify"):
+        check_size(args.L, args.kappa)
+    elif args.cmd == "bench":
+        check_size(args.L_grid[0], args.kappa)
+    if args.cmd == "stats" and args.sessions < 1:
+        raise ValueError(f"sessions must be >= 1, got {args.sessions}")
+    if args.cmd == "bench" and args.sessions_per_l < 1:
+        raise ValueError(f"sessions-per-l must be >= 1, got {args.sessions_per_l}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -261,10 +281,11 @@ def main(argv=None) -> int:
         "selftest": cmd_selftest,
     }[args.cmd]
     try:
-        return handler(args)
+        _check_input(args)
     except (ValueError, OSError) as e:  # json.JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
+    return handler(args)
 
 
 if __name__ == "__main__":

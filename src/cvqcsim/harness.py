@@ -15,7 +15,6 @@ it (the CLI exposes --timing).
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import statistics
@@ -229,11 +228,8 @@ def scaling_bench(kappa: int, l_grid: list[int], sessions_per_l: int, rng) -> Be
     and ``median_s`` is the median per L.  Host speed drifts over a run;
     timing each L as one block in turn put that drift between the rows and
     into the doubling ratios, while a pass spreads it over all of them.
-    Each timed session runs with the cyclic garbage collector paused, after
-    an untimed collection (as ``timeit`` does): when a full collection fires
-    depends on allocation counts, and its cost on how much a session holds,
-    which made single rows jump.  Timing is the payload here, so bench
-    reports are exempt from byte-replay.
+    Timing is the payload here, so bench reports are exempt from
+    byte-replay.
     """
     if list(l_grid) != sorted(l_grid) or len(l_grid) < 1:
         raise ValueError("l_grid must be ascending and nonempty")
@@ -245,20 +241,11 @@ def scaling_bench(kappa: int, l_grid: list[int], sessions_per_l: int, rng) -> Be
         # one throwaway session warms caches/allocators at this size
         run_pre_rspv(strat, derive_seed(master, f"warm-{L}", 0), kappa=kappa, L=L, force_plan="comp")
     times: dict[int, list[float]] = {L: [] for L in l_grid}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i in range(sessions_per_l):
-            for L in l_grid:
-                gc.collect()
-                t0 = time.perf_counter()
-                run_pre_rspv(
-                    strat, derive_seed(master, f"bench-{L}", i), kappa=kappa, L=L, force_plan="comp"
-                )
-                times[L].append(time.perf_counter() - t0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    for i in range(sessions_per_l):
+        for L in l_grid:
+            t0 = time.perf_counter()
+            run_pre_rspv(strat, derive_seed(master, f"bench-{L}", i), kappa=kappa, L=L, force_plan="comp")
+            times[L].append(time.perf_counter() - t0)
     rows = [{"L": L, "median_s": statistics.median(times[L])} for L in l_grid]
     ratios = []
     for a, b in zip(rows, rows[1:]):

@@ -194,6 +194,21 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys):
     cfg = tmp_path / "not_json.json"
     cfg.write_text("{not json")
     _cli_error(["amplify", "--config", str(cfg)], capsys)
+    assert "L must be" in _cli_error(["amplify", "--L", "0", "--n-temp", "10"], capsys)
+    assert "kappa" in _cli_error(["bench", "--kappa", "1", "--L-grid", "1,2"], capsys)
+    assert "sessions-per-l" in _cli_error(["bench", "--sessions-per-l", "0", "--L-grid", "1"], capsys)
+
+
+def test_cli_internal_errors_keep_their_traceback(monkeypatch):
+    # only input validation maps to exit 2; a fault inside a command propagates
+    import cvqcsim.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "run_pre_rspv", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["run", "--kappa", "6", "--L", "1", "--seed", "00"])
 
 
 def test_cli_stats_reports_json(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -26,6 +27,25 @@ class TestQuery:
         long = query(o, x, 200)
         for n in (1, 3, 64, 128, 199):
             assert query(RandomOracle(SEED_A), x, n) == long.prefix(n)
+
+    def test_prefix_consistency_across_blocks(self):
+        # outputs past one 512-bit block chain counter-mode blocks
+        x = Bits(0x89ABCDEF, 32)
+        long = query(RandomOracle(SEED_A), x, 600)
+        for n in (511, 512, 513, 599):
+            assert query(RandomOracle(SEED_A), x, n) == long.prefix(n)
+
+    def test_stream_framing(self):
+        # block ctr = blake2b_seed(4-byte width || value bytes || 4-byte ctr)
+        x = Bits(0x12345, 40)
+        prefix = (40).to_bytes(4, "big") + (0x12345).to_bytes(5, "big")
+        raw = b"".join(
+            hashlib.blake2b(prefix + ctr.to_bytes(4, "big"), key=SEED_A, digest_size=64).digest()
+            for ctr in range(4)
+        )
+        ref = int.from_bytes(raw, "big")
+        for n in (16, 512, 513, 1024, 1025, 1600):
+            assert query(RandomOracle(SEED_A), x, n) == Bits(ref >> (8 * len(raw) - n), n)
 
     def test_bytes_input_equals_bits_input(self):
         o = RandomOracle(SEED_A)
