@@ -45,7 +45,6 @@ from .gadget import (
     Gadget,
     KeyPair,
     PlusStateVector,
-    conjugate,
     decode_output,
     decrypt_branch_phases,
     dephase,
@@ -55,7 +54,7 @@ from .gadget import (
     std_sample,
 )
 from .ntcf import ClawResult
-from .oracle import OracleView, RandomOracle
+from .oracle import RandomOracle
 from .tables import LookupTable, decrypt_row
 
 HELPER = -1  # gadget index of the helper block; output gadgets are 1..L, test gadget is 0
@@ -66,7 +65,7 @@ OPT = COS2_TABLE[1] / 3  # (1/3) cos^2(pi/8): the optimal quiz win rate
 class ServerSession:
     """Honest server for one session; subclass hooks to tamper."""
 
-    def __init__(self, oracle: RandomOracle | OracleView, rng: Random, kappa: int):
+    def __init__(self, oracle: RandomOracle, rng: Random, kappa: int):
         self.oracle = oracle
         self.rng = rng
         self.kappa = kappa
@@ -215,7 +214,6 @@ class GhzSession(ServerSession):
         slots = {}
         k0 = k1 = Bits(0, 0)
         a0, a1 = complex(1, 0), complex(1, 0)
-        norm = 1.0
         for slot, i in enumerate(idxs):
             g = self.gadgets.pop(i)
             slots[i] = slot
@@ -270,9 +268,9 @@ class GhzSession(ServerSession):
         if not self.folded:
             self.folded = [base]
         key = self._slice(0, self.folded[0]).concat(self._slice(0, other))
-        hit = decrypt_row(table, key, self.oracle, self.kappa)
+        hit = decrypt_row(table, key, self.oracle)
         self.folded.append(other)
-        return hit[1] if hit else Bits(0, self.kappa)
+        return Bits(hit[1] if hit else 0, self.kappa)
 
     def respond_hadamard(self, idx, pad):
         if self.joint is None or idx not in (self.merged or {}):

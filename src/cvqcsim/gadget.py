@@ -35,10 +35,8 @@ from random import Random
 from typing import NamedTuple
 
 from .bits import Bits, flip_bit, lowest_set_bit
-from .oracle import OracleView, RandomOracle
+from .oracle import RandomOracle
 from .tables import LookupTable, decrypt_row
-
-Oracle = RandomOracle | OracleView
 
 _SQ = math.sqrt(0.5)
 INV_SQRT2 = _SQ
@@ -109,19 +107,14 @@ def make_gadget(keys: KeyPair, phases: PhasePair | None = None) -> Gadget:
     )
 
 
-def _table_kappa(table: LookupTable) -> int:
-    return table.rows[0].tag.width
-
-
 def decrypt_branch_phases(
-    g: Gadget, table: LookupTable, helper_key_in_hand: Bits, oracle: Oracle
+    g: Gadget, table: LookupTable, helper_key_in_hand: Bits, oracle: RandomOracle
 ) -> tuple[int, int]:
     """What the server learns per branch from a phase table: (theta0, theta1)."""
-    kappa = _table_kappa(table)
     out = []
     hv, hw = helper_key_in_hand
     for x_b in g.keys:
-        hit = decrypt_row(table, ((hv << x_b.width) | x_b.value, hw + x_b.width), oracle, kappa)
+        hit = decrypt_row(table, ((hv << x_b.width) | x_b.value, hw + x_b.width), oracle)
         if hit is None:
             raise TableMismatch("phase table has no row for a branch key")
         out.append(hit[1])
@@ -131,17 +124,6 @@ def decrypt_branch_phases(
 def rotate_branches(g: Gadget, theta0: int, theta1: int) -> Gadget:
     """Diagonal phase op: amp_b *= e^{i theta_b pi/4}."""
     return Gadget(g.keys, g.amp0 * ROOT8[theta0 % 8], g.amp1 * ROOT8[theta1 % 8])
-
-
-def apply_phase_table(g: Gadget, table: LookupTable, helper_key_in_hand: Bits, oracle: Oracle) -> Gadget:
-    """Decrypt the branch phases under helper-branch||own-branch and rotate.
-
-    The honest server does this in superposition and then uncomputes the
-    phase register by decrypting again, so the net effect is exactly a
-    per-branch phase rotation — no entanglement residue to track.
-    """
-    t0, t1 = decrypt_branch_phases(g, table, helper_key_in_hand, oracle)
-    return rotate_branches(g, t0, t1)
 
 
 def dephase(g: Gadget, revealed: int) -> Gadget:
@@ -162,12 +144,12 @@ def std_sample(g: Gadget, rng: Random) -> tuple[int, Bits]:
     return b, g.keys[b]
 
 
-def branch_words(g: Gadget, pad: Bits, oracle: Oracle, kappa: int) -> tuple[Bits, Bits]:
+def branch_words(g: Gadget, pad: Bits, oracle: RandomOracle, kappa: int) -> tuple[Bits, Bits]:
     """w_b = x_b || H(pad || x_b, kappa) — the padded-Hadamard words."""
     words = []
     for x in g.keys:
         h = oracle.query(((pad.value << x.width) | x.value, pad.width + x.width), kappa)
-        words.append(Bits((x.value << kappa) | h.value, x.width + kappa))
+        words.append(Bits((x.value << kappa) | h, x.width + kappa))
     return words[0], words[1]
 
 
@@ -186,7 +168,7 @@ def parity_probs(g: Gadget) -> tuple[float, float]:
     return 1.0 - p1, p1
 
 
-def enumerate_hadamard_distribution(g: Gadget, pad: Bits, oracle: Oracle, kappa: int) -> dict[int, float]:
+def enumerate_hadamard_distribution(g: Gadget, pad: Bits, oracle: RandomOracle, kappa: int) -> dict[int, float]:
     """Brute-force oracle: full 2^(|x|+kappa) Hadamard-basis distribution.
 
     Expands amp0|w0> + amp1|w1> over every outcome d; exponential, for tests
@@ -204,7 +186,7 @@ def enumerate_hadamard_distribution(g: Gadget, pad: Bits, oracle: Oracle, kappa:
     return out
 
 
-def sampler_distribution(g: Gadget, pad: Bits, oracle: Oracle, kappa: int) -> dict[int, float]:
+def sampler_distribution(g: Gadget, pad: Bits, oracle: RandomOracle, kappa: int) -> dict[int, float]:
     """The exact law implemented by ``hadamard_sample`` (class weight times
     uniform-in-class), for direct comparison against the enumeration oracle."""
     w0, w1 = branch_words(g, pad, oracle, kappa)
@@ -216,7 +198,7 @@ def sampler_distribution(g: Gadget, pad: Bits, oracle: Oracle, kappa: int) -> di
     return {d: p[(d & delta.value).bit_count() & 1] / half for d in range(1 << n)}
 
 
-def hadamard_sample(g: Gadget, pad: Bits, oracle: Oracle, rng: Random) -> Bits:
+def hadamard_sample(g: Gadget, pad: Bits, oracle: RandomOracle, rng: Random) -> Bits:
     """Padded Hadamard-basis measurement outcome d (gadget consumed).
 
     Exact two-step draw: parity class c with the two-point law, then a
@@ -234,7 +216,7 @@ def hadamard_sample(g: Gadget, pad: Bits, oracle: Oracle, rng: Random) -> Bits:
 
 
 def combine_step(
-    g_a: Gadget, g_b: Gadget, table: LookupTable, oracle: Oracle, rng: Random
+    g_a: Gadget, g_b: Gadget, table: LookupTable, oracle: RandomOracle, rng: Random
 ) -> tuple[Bits, Gadget]:
     """Merge two gadgets through a combine table.
 
@@ -244,14 +226,14 @@ def combine_step(
     Table rows are keyed by the *first kappa bits* of the a-side branch (the
     client builds them from the base gadget's keys).
     """
-    kappa = _table_kappa(table)
+    kappa = table.kappa
     r = {}
     for a in (0, 1):
         x_a = g_a.keys[a]
         head = x_a.value >> (x_a.width - kappa)  # first kappa bits
         for b in (0, 1):
             x_b = g_b.keys[b]
-            hit = decrypt_row(table, ((head << x_b.width) | x_b.value, kappa + x_b.width), oracle, kappa)
+            hit = decrypt_row(table, ((head << x_b.width) | x_b.value, kappa + x_b.width), oracle)
             if hit is None:
                 raise TableMismatch("combine table has no row for a branch pair")
             r[a, b] = hit[1]
@@ -271,7 +253,7 @@ def combine_step(
         else KeyPair(g_a.keys.x0.concat(g_b.keys.x1), g_a.keys.x1.concat(g_b.keys.x0))
     )
     combined = Gadget(keys, amps[0] * scale, amps[1] * scale)
-    return (r[0, 0] if take_eq else r[0, 1]), combined
+    return Bits(r[0, 0] if take_eq else r[0, 1], kappa), combined
 
 
 def decode_output(

@@ -27,6 +27,7 @@ LWE-backed scheme would replace them here, behind the same signatures.
 
 from __future__ import annotations
 
+from hashlib import blake2b
 from random import Random
 from typing import NamedTuple
 
@@ -40,12 +41,14 @@ class NtcfPublicKey(NamedTuple):
     kappa: int
     perm_seed: bytes
     shift: Bits  # functionally public in this mock; see module docstring
+    prf: blake2b  # blake2b keyed by perm_seed, built once per key
 
 
 class NtcfSecretKey(NamedTuple):
     kappa: int
     perm_seed: bytes
     shift: Bits
+    prf: blake2b
 
 
 class NtcfKeyMaterial(NamedTuple):
@@ -60,27 +63,24 @@ class ClawResult(NamedTuple):
     x1: Bits
 
 
-def _round_fn(keyed, rnd: int, half: int, kappa: int) -> int:
+def _round_fn(keyed: blake2b, rnd: int, half: int, kappa: int) -> int:
     # independent PRF per round: tag the round index above the input half
     return _stream_bits(keyed, ((rnd << kappa) | half, kappa + 8), kappa)
 
 
-def _permute(seed: bytes, u: Bits, kappa: int) -> Bits:
-    assert u.width == 2 * kappa
-    keyed = prf_key(seed)
-    left, right = u.value >> kappa, u.value & ((1 << kappa) - 1)
+def _permute(keyed: blake2b, u: int, kappa: int) -> int:
+    """P on 2*kappa-bit ints; `keyed` is the key's ``prf``."""
+    left, right = u >> kappa, u & ((1 << kappa) - 1)
     for rnd in range(_ROUNDS):
         left, right = right, left ^ _round_fn(keyed, rnd, right, kappa)
-    return Bits((left << kappa) | right, 2 * kappa)
+    return (left << kappa) | right
 
 
-def _unpermute(seed: bytes, y: Bits, kappa: int) -> Bits:
-    assert y.width == 2 * kappa
-    keyed = prf_key(seed)
-    left, right = y.value >> kappa, y.value & ((1 << kappa) - 1)
+def _unpermute(keyed: blake2b, y: int, kappa: int) -> int:
+    left, right = y >> kappa, y & ((1 << kappa) - 1)
     for rnd in reversed(range(_ROUNDS)):
         left, right = right ^ _round_fn(keyed, rnd, left, kappa), left
-    return Bits((left << kappa) | right, 2 * kappa)
+    return (left << kappa) | right
 
 
 def keygen(kappa: int, rng: Random) -> NtcfKeyMaterial:
@@ -89,8 +89,9 @@ def keygen(kappa: int, rng: Random) -> NtcfKeyMaterial:
         raise ValueError("kappa must be >= 2 (shift space degenerate below that)")
     perm_seed = rng.randbytes(32)
     shift = Bits(rng.randrange(1, 1 << kappa), kappa)
-    pk = NtcfPublicKey(kappa, perm_seed, shift)
-    sk = NtcfSecretKey(kappa, perm_seed, shift)
+    prf = prf_key(perm_seed)
+    pk = NtcfPublicKey(kappa, perm_seed, shift, prf)
+    sk = NtcfSecretKey(kappa, perm_seed, shift, prf)
     return NtcfKeyMaterial(pk, sk, kappa)
 
 
@@ -104,16 +105,16 @@ def eval_claw(pk: NtcfPublicKey, rng: Random) -> ClawResult:
     """
     kappa = pk.kappa
     u = rng.getrandbits(kappa)
-    y = _permute(pk.perm_seed, Bits(u << kappa, 2 * kappa), kappa)
+    y = Bits(_permute(pk.prf, u << kappa, kappa), 2 * kappa)
     return ClawResult(y=y, x0=Bits(u, kappa), x1=Bits(u ^ pk.shift.value, kappa))
 
 
 def dec(sk: NtcfSecretKey, b: int, y: Bits) -> Bits | None:
     """Trapdoor decode of branch b's preimage; None marks an invalid image."""
-    if y.width != 2 * sk.kappa:
-        return None
     kappa = sk.kappa
-    u = _unpermute(sk.perm_seed, y, kappa).value
+    if y.width != 2 * kappa:
+        return None
+    u = _unpermute(sk.prf, y.value, kappa)
     if u & ((1 << kappa) - 1):
         return None
     x = Bits(u >> kappa, kappa)
@@ -128,8 +129,8 @@ def claw_partner(sk: NtcfSecretKey, x: Bits) -> Bits:
 
 def chk(pk: NtcfPublicKey, b: int, x: Bits, y: Bits) -> bool:
     """Public check predicate: true exactly when dec(sk, b, y) = x."""
-    if x.width != pk.kappa or y.width != 2 * pk.kappa:
+    kappa = pk.kappa
+    if x.width != kappa or y.width != 2 * kappa:
         return False
-    u = x.xor(pk.shift) if b else x
-    return _permute(pk.perm_seed, u.concat(Bits(0, pk.kappa)), pk.kappa) == y
-
+    u = x.value ^ pk.shift.value if b else x.value
+    return _permute(pk.prf, u << kappa, kappa) == y.value

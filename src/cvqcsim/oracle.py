@@ -1,4 +1,4 @@
-"""Seeded random-oracle model with lazy per-entry sampling and blinded views.
+"""Seeded random-oracle model with lazy per-entry sampling.
 
 The hash H in the protocol is an ideal random function; here it is a keyed
 PRF (blake2b keyed by a 32-byte seed, expanded counter-mode into an output
@@ -12,11 +12,8 @@ rest of the stack relies on:
 Output length is capped at |input|^2 bits: a fixed polynomial cut-off that
 keeps the map total without giving callers unbounded stretch.
 
-A *blinded view* (``blind``) models the server's side of the argument where
-designated entries look freshly random: queries whose input matches a
-(padLen, key) pattern — first padLen bits arbitrary, then exactly `key` —
-are answered from an independent resample seed; everything else passes
-through to the base oracle verbatim.  Views never mutate the base.
+Inputs are (value, width) pairs and outputs plain ints, so the memo holds
+nothing the cyclic garbage collector has to track.
 
 One oracle instance per protocol session; sessions are independent
 experiments, so nothing is shared across them.
@@ -41,10 +38,10 @@ def prf_key(seed: bytes) -> blake2b:
 def _stream_bits(keyed: blake2b, inp: tuple[int, int], out_len: int) -> int:
     """First out_len bits of the entry's infinite stream, as an int.
 
-    `keyed` comes from ``prf_key(seed)`` and `inp` is a (value, width) pair
-    (Bits is one).  The stream is blake2b(width || value || counter) for
-    counter = 0, 1, ... (4-byte width, value in whole bytes, 4-byte counter);
-    an output that fits one block hashes once with counter 0.
+    `keyed` comes from ``prf_key(seed)`` and `inp` is a (value, width)
+    pair.  The stream is blake2b(width || value || counter) for counter =
+    0, 1, ... (4-byte width, value in whole bytes, 4-byte counter); an
+    output that fits one block hashes once with counter 0.
     """
     value, width = inp
     nbytes = (width + 7) // 8
@@ -62,19 +59,11 @@ def _stream_bits(keyed: blake2b, inp: tuple[int, int], out_len: int) -> int:
     return int.from_bytes(raw, "big") >> (8 * len(raw) - out_len)
 
 
-def _as_bits(inp: tuple[int, int] | bytes) -> Bits:
-    if isinstance(inp, Bits):
-        return inp
-    if isinstance(inp, tuple):
-        return Bits(*inp)
-    return Bits(int.from_bytes(inp, "big"), 8 * len(inp))
-
-
 class RandomOracle:
     """Lazy random map {0,1}* -> {0,1}^outLen, seeded, memoized.
 
-    Inputs are Bits, plain (value, width) pairs — which hot callers build
-    instead of a Bits — or bytes.
+    Inputs are (value, width) pairs (a Bits is one) or bytes; outputs are
+    out_len-bit ints.
     """
 
     __slots__ = ("seed", "keyed", "cache")
@@ -84,11 +73,11 @@ class RandomOracle:
             raise ValueError("oracle seed must be 32 bytes")
         self.seed = seed
         self.keyed = prf_key(seed)
-        self.cache: dict[tuple[int, int, int], Bits] = {}
+        self.cache: dict[tuple[int, int, int], int] = {}
 
-    def query(self, inp: tuple[int, int] | bytes, out_len: int) -> Bits:
+    def query(self, inp: tuple[int, int] | bytes, out_len: int) -> int:
         if not isinstance(inp, tuple):
-            inp = _as_bits(inp)
+            inp = (int.from_bytes(inp, "big"), 8 * len(inp))
         value, width = inp
         key = (value, width, out_len)
         hit = self.cache.get(key)
@@ -96,60 +85,12 @@ class RandomOracle:
             # a cached key passed this check when it was stored
             if not 1 <= out_len <= width * width:
                 raise ValueError(f"outLen {out_len} outside [1, |input|^2] for |input|={width}")
-            hit = self.cache[key] = Bits(_stream_bits(self.keyed, inp, out_len), out_len)
+            hit = self.cache[key] = _stream_bits(self.keyed, inp, out_len)
         return hit
 
 
-class OracleView:
-    """Blinded view: pattern-matching queries resampled, rest forwarded."""
-
-    __slots__ = ("base", "patterns", "resample_seed", "resample_keyed", "cache")
-
-    def __init__(self, base: RandomOracle, patterns: list[tuple[int, Bits]], resample_seed: bytes):
-        for pad_len, key in patterns:
-            if pad_len < 0:
-                raise ValueError("negative pad length in blind pattern")
-            if key.width == 0:
-                raise ValueError("empty key in blind pattern")
-        self.base = base
-        self.patterns = list(patterns)
-        self.resample_seed = resample_seed
-        self.resample_keyed = prf_key(resample_seed)
-        self.cache: dict[tuple[int, int, int], Bits] = {}
-
-    def _blinded(self, inp: Bits) -> bool:
-        for pad_len, key in self.patterns:
-            end = pad_len + key.width
-            if inp.width >= end and inp.prefix(end).suffix(key.width) == key:
-                return True
-        return False
-
-    def query(self, inp: tuple[int, int] | bytes, out_len: int) -> Bits:
-        inp = _as_bits(inp)
-        if not 1 <= out_len <= inp.width * inp.width:
-            raise ValueError(f"outLen {out_len} outside [1, |input|^2] for |input|={inp.width}")
-        if not self._blinded(inp):
-            return self.base.query(inp, out_len)
-        key = (inp.value, inp.width, out_len)
-        hit = self.cache.get(key)
-        if hit is None:
-            hit = self.cache[key] = Bits(_stream_bits(self.resample_keyed, inp, out_len), out_len)
-        return hit
-
-
-def query(oracle: RandomOracle | OracleView, inp: tuple[int, int] | bytes, out_len: int) -> Bits:
+def query(oracle: RandomOracle, inp: tuple[int, int] | bytes, out_len: int) -> int:
     return oracle.query(inp, out_len)
-
-
-def blind(oracle: RandomOracle, patterns: list[tuple[int, Bits]], resample_seed: bytes | None = None) -> OracleView:
-    """View of `oracle` with the given (padLen, key) prefix patterns resampled.
-
-    resample_seed defaults to a value derived from the base seed, so the view
-    is as deterministic as the base; pass one explicitly to control it.
-    """
-    if resample_seed is None:
-        resample_seed = blake2b(b"resample", key=oracle.seed, digest_size=32).digest()
-    return OracleView(oracle, patterns, resample_seed)
 
 
 def fresh_pad(rng: Random, kappa: int) -> Bits:

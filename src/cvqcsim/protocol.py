@@ -197,9 +197,10 @@ def run_hadamard_test(
         return False, None
     if d.suffix(kappa).is_zero:
         return False, None
-    w0 = keys.x0.concat(query(oracle, pad.concat(keys.x0), kappa))
-    w1 = keys.x1.concat(query(oracle, pad.concat(keys.x1), kappa))
-    return True, d.parity_with(w0.xor(w1))
+    x0, x1 = keys
+    h0 = query(oracle, pad.concat(x0), kappa)
+    h1 = query(oracle, pad.concat(x1), kappa)
+    return True, d.parity_with(Bits(((x0.value ^ x1.value) << kappa) | (h0 ^ h1), d.width))
 
 
 def run_add_phase(
@@ -251,10 +252,10 @@ def _fold(
     kk = secrets.keys[base]
     tt = secrets.thetas[base]
     for i in others:
-        r0 = Bits(client_rng.getrandbits(kappa), kappa)
-        r1 = Bits(client_rng.getrandbits(kappa), kappa)
+        r0 = (client_rng.getrandbits(kappa), kappa)
+        r1 = (client_rng.getrandbits(kappa), kappa)
         while r1 == r0:
-            r1 = Bits(client_rng.getrandbits(kappa), kappa)
+            r1 = (client_rng.getrandbits(kappa), kappa)
         table = make_combine_table(
             secrets.keys[base], secrets.keys[i], r0, r1, kappa, oracle, client_rng
         )

@@ -30,9 +30,7 @@ from random import Random
 from typing import NamedTuple
 
 from .bits import Bits, parse_token
-from .oracle import OracleView, RandomOracle
-
-Oracle = RandomOracle | OracleView
+from .oracle import RandomOracle
 
 Z8 = "Z8"
 XOR = "XOR"
@@ -43,83 +41,86 @@ class TagCollision(Exception):
 
 
 class Ciphertext(NamedTuple):
-    pad_r: Bits
-    masked: int | Bits  # int in Z8 tables, Bits(kappa) in XOR tables
-    pad_rp: Bits
-    tag: Bits
+    pad_r: int
+    masked: int  # Z8 element, or a kappa-bit XOR target
+    pad_rp: int
+    tag: int
 
 
 class LookupTable(NamedTuple):
     rows: tuple[Ciphertext, ...]
     group: str  # Z8 | XOR
+    kappa: int  # width of every pad, tag and XOR plaintext
 
 
-# Oracle inputs are pad || key as plain (value, width) pairs, built with int
-# shifts: this is the hot path of every table build and lookup.
+# Rows hold plain ints, kappa bits wide, and oracle inputs are pad || key as
+# (value, width) pairs built with int shifts: this is the hot path of every
+# table build and lookup.
 
 
-def _mask(key: tuple[int, int], pad: Bits, group: str, kappa: int, oracle: Oracle) -> int | Bits:
-    kv, kw = key
-    inp = ((pad.value << kw) | kv, pad.width + kw)
-    if group == Z8:
-        return oracle.query(inp, 3).value
-    return oracle.query(inp, kappa)
-
-
-def encrypt(key: Bits, p: int | Bits, group: str, kappa: int, oracle: Oracle, rng: Random) -> Ciphertext:
-    """One row: plaintext p masked under key, plus the key-auth tag."""
+def encrypt(
+    key: tuple[int, int], p: int, group: str, kappa: int, oracle: RandomOracle, rng: Random
+) -> Ciphertext:
+    """One row: plaintext p masked under key (a (value, width) pair), plus
+    the key-auth tag."""
     if group == Z8:
         assert isinstance(p, int) and 0 <= p < 8, f"Z8 plaintext out of range: {p}"
     elif group == XOR:
-        assert isinstance(p, Bits) and p.width == kappa, "XOR plaintext must be kappa bits"
+        assert isinstance(p, int) and 0 <= p < 1 << kappa, "XOR plaintext must be kappa bits"
     else:
         raise ValueError(f"unknown group {group!r}")
-    pad_r = Bits(rng.getrandbits(kappa), kappa)
-    pad_rp = Bits(rng.getrandbits(kappa), kappa)
-    m = _mask(key, pad_r, group, kappa, oracle)
-    masked = (m + p) % 8 if group == Z8 else m.xor(p)
-    tag = oracle.query(((pad_rp.value << key.width) | key.value, kappa + key.width), kappa)
-    return Ciphertext(pad_r, masked, pad_rp, tag)
+    kv, kw = key
+    width = kappa + kw
+    pad_r = rng.getrandbits(kappa)
+    pad_rp = rng.getrandbits(kappa)
+    if group == Z8:
+        masked = (oracle.query(((pad_r << kw) | kv, width), 3) + p) % 8
+    else:
+        masked = oracle.query(((pad_r << kw) | kv, width), kappa) ^ p
+    return Ciphertext(pad_r, masked, pad_rp, oracle.query(((pad_rp << kw) | kv, width), kappa))
 
 
-def decrypt_row(
-    table: LookupTable, key: tuple[int, int], oracle: Oracle, kappa: int
-) -> tuple[int, int | Bits] | None:
-    """Find the unique row opened by `key` (Bits, or a (value, width) pair);
-    None if none, TagCollision if several.
+def decrypt_row(table: LookupTable, key: tuple[int, int], oracle: RandomOracle) -> tuple[int, int] | None:
+    """Find the unique row opened by `key` (a (value, width) pair) and its
+    plaintext; None if none, TagCollision if several.
 
     Every row is checked (a false tag match has probability 2^-kappa per row,
     observable at small kappa), so the collision case is detected rather than
     silently resolved by row order.
     """
     kv, kw = key
+    kappa = table.kappa
+    width = kappa + kw
+    query = oracle.query
     found = None
     for idx, row in enumerate(table.rows):
-        pad = row.pad_rp
-        if oracle.query(((pad.value << kw) | kv, pad.width + kw), kappa) == row.tag:
+        if query(((row.pad_rp << kw) | kv, width), kappa) == row.tag:
             if found is not None:
                 raise TagCollision(f"key opens rows {found[0]} and {idx}")
-            m = _mask(key, row.pad_r, table.group, kappa, oracle)
-            p = (row.masked - m) % 8 if table.group == Z8 else row.masked.xor(m)
-            found = (idx, p)
+            inp = ((row.pad_r << kw) | kv, width)
+            if table.group == Z8:
+                found = (idx, (row.masked - query(inp, 3)) % 8)
+            else:
+                found = (idx, row.masked ^ query(inp, kappa))
     return found
 
 
-def _cross_clean(rows: list[Ciphertext], keys: list[Bits], oracle: Oracle, kappa: int) -> bool:
-    """True iff no intended key falsely opens another key's row."""
+def _cross_clean(rows: list[Ciphertext], keys: list[int], kw: int, oracle: RandomOracle, kappa: int) -> bool:
+    """True iff no intended key (kw bits wide) falsely opens another key's row."""
     query = oracle.query
-    for i, (kv, kw) in enumerate(keys):
+    width = kappa + kw
+    for i, kv in enumerate(keys):
         for j, row in enumerate(rows):
-            if i != j and query(((row.pad_rp.value << kw) | kv, kappa + kw), kappa) == row.tag:
+            if i != j and query(((row.pad_rp << kw) | kv, width), kappa) == row.tag:
                 return False
     return True
 
 
 def _build_table(
-    keys: list[Bits], plaintexts: list, group: str, kappa: int, oracle: Oracle, rng: Random
+    keys: list[int], kw: int, plaintexts: list[int], group: str, kappa: int, oracle: RandomOracle, rng: Random
 ) -> LookupTable:
-    """Encrypt rows, resampling pads until each intended key opens exactly
-    its own row.
+    """Encrypt rows under the kw-bit keys, resampling pads until each
+    intended key opens exactly its own row.
 
     A cross-row false tag match happens with probability ~ 12 * 2^-kappa per
     attempt; at cryptographic kappa that is negligible, but at desk scale it
@@ -127,12 +128,21 @@ def _build_table(
     enough to swamp the protocol's 2^-kappa failure budget.  The client holds
     all four keys, so she simply checks and rebuilds.
     """
+    pairs = [(kv, kw) for kv in keys]
     for _ in range(4096):
-        rows = [encrypt(k, p, group, kappa, oracle, rng) for k, p in zip(keys, plaintexts)]
-        if _cross_clean(rows, keys, oracle, kappa):
+        rows = [encrypt(k, p, group, kappa, oracle, rng) for k, p in zip(pairs, plaintexts)]
+        if _cross_clean(rows, keys, kw, oracle, kappa):
             rng.shuffle(rows)
-            return LookupTable(tuple(rows), group)
+            return LookupTable(tuple(rows), group, kappa)
     raise RuntimeError("could not build a collision-free table (kappa too small?)")
+
+
+def _cross_keys(k_a: tuple[Bits, Bits], k_b: tuple[Bits, Bits]) -> tuple[list[int], int]:
+    """The four keys a-branch || b-branch, in the order (0,0), (0,1), (1,0),
+    (1,1), and their common width."""
+    (a0, wa), (a1, _) = k_a
+    (b0, wb), (b1, _) = k_b
+    return [(a << wb) | b for a in (a0, a1) for b in (b0, b1)], wa + wb
 
 
 def make_phase_table(
@@ -140,41 +150,44 @@ def make_phase_table(
     k_i: tuple[Bits, Bits],
     theta_i: tuple[int, int],
     kappa: int,
-    oracle: Oracle,
+    oracle: RandomOracle,
     rng: Random,
 ) -> LookupTable:
     """Four rows: helper-branch || gadget-branch -> that gadget branch's phase."""
     assert helper_k[0] != helper_k[1] and k_i[0] != k_i[1], "branch keys must be distinct"
-    keys = [helper_k[bh].concat(k_i[b]) for bh in (0, 1) for b in (0, 1)]
+    keys, kw = _cross_keys(helper_k, k_i)
     plaintexts = [theta_i[b] % 8 for _ in (0, 1) for b in (0, 1)]
-    return _build_table(keys, plaintexts, Z8, kappa, oracle, rng)
+    return _build_table(keys, kw, plaintexts, Z8, kappa, oracle, rng)
 
 
 def make_combine_table(
     k_a: tuple[Bits, Bits],
     k_b: tuple[Bits, Bits],
-    r0: Bits,
-    r1: Bits,
+    r0: tuple[int, int],
+    r1: tuple[int, int],
     kappa: int,
-    oracle: Oracle,
+    oracle: RandomOracle,
     rng: Random,
 ) -> LookupTable:
-    """Four rows: a-branch || b-branch -> r0 on equal subscripts, r1 on unequal."""
+    """Four rows: a-branch || b-branch -> r0 on equal subscripts, r1 on
+    unequal; the targets are kappa-bit (value, width) pairs."""
     if r0 == r1:
         raise ValueError("combine targets r0 and r1 must differ")
-    keys = [k_a[ba].concat(k_b[bb]) for ba in (0, 1) for bb in (0, 1)]
-    plaintexts = [r0 if ba == bb else r1 for ba in (0, 1) for bb in (0, 1)]
-    return _build_table(keys, plaintexts, XOR, kappa, oracle, rng)
+    assert r0[1] == r1[1] == kappa, "combine targets must be kappa bits"
+    keys, kw = _cross_keys(k_a, k_b)
+    plaintexts = [r0[0] if ba == bb else r1[0] for ba in (0, 1) for bb in (0, 1)]
+    return _build_table(keys, kw, plaintexts, XOR, kappa, oracle, rng)
 
 
 def table_payload(table: LookupTable) -> dict:
     """Canonical JSON-friendly form (transcript wire format)."""
+    kappa = table.kappa
     rows = [
         {
-            "R": row.pad_r.token(),
-            "ct": row.masked if table.group == Z8 else row.masked.token(),
-            "Rp": row.pad_rp.token(),
-            "tag": row.tag.token(),
+            "R": Bits(row.pad_r, kappa).token(),
+            "ct": row.masked if table.group == Z8 else Bits(row.masked, kappa).token(),
+            "Rp": Bits(row.pad_rp, kappa).token(),
+            "tag": Bits(row.tag, kappa).token(),
         }
         for row in table.rows
     ]
@@ -182,14 +195,19 @@ def table_payload(table: LookupTable) -> dict:
 
 
 def table_from_payload(payload: dict) -> LookupTable:
+    """Inverse of ``table_payload``; kappa is the tags' width, and every
+    token must have it."""
     group = payload["group"]
+    kappa = parse_token(payload["rows"][0]["tag"]).width if payload["rows"] else 0
+
+    def value(token: str) -> int:
+        b = parse_token(token)
+        if b.width != kappa:
+            raise ValueError(f"token {token!r} is not {kappa} bits wide")
+        return b.value
+
     rows = tuple(
-        Ciphertext(
-            parse_token(r["R"]),
-            r["ct"] if group == Z8 else parse_token(r["ct"]),
-            parse_token(r["Rp"]),
-            parse_token(r["tag"]),
-        )
+        Ciphertext(value(r["R"]), r["ct"] if group == Z8 else value(r["ct"]), value(r["Rp"]), value(r["tag"]))
         for r in payload["rows"]
     )
-    return LookupTable(rows, group)
+    return LookupTable(rows, group, kappa)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvqcsim.bits import Bits
+from cvqcsim.adversary import HELPER, ServerSession
+from cvqcsim.bits import Bits, flip_bit
 from cvqcsim.gadget import (
     COS2_TABLE,
     ROOT8,
@@ -14,7 +15,6 @@ from cvqcsim.gadget import (
     PhasePair,
     PlusStateVector,
     TableMismatch,
-    apply_phase_table,
     combine_step,
     conjugate,
     decode_output,
@@ -81,6 +81,16 @@ class TestMakeGadget:
             make_gadget(KeyPair(x, x))
 
 
+def _receive(g, tbl, helper_key, o):
+    """Apply a phase table through the server's production path,
+    ``ServerSession.receive_phase_table``, holding `helper_key` as the helper
+    branch in hand."""
+    s = ServerSession(o, random.Random(0), tbl.kappa)
+    s.gadgets = {HELPER: make_gadget(KeyPair(helper_key, flip_bit(helper_key, 0))), 0: g}
+    s.receive_phase_table(0, tbl)
+    return s.gadgets[0]
+
+
 class TestPhaseTableApplication:
     def _setup(self, salt, thetas, kappa=12):
         o = RandomOracle(SEED)
@@ -92,11 +102,11 @@ class TestPhaseTableApplication:
     def test_zero_table_is_identity(self):
         o, hk, gk, tbl = self._setup(4, (0, 0))
         g = make_gadget(gk)
-        assert apply_phase_table(g, tbl, hk[0], o) == g
+        assert _receive(g, tbl, hk[0], o) == g
 
     def test_reaches_target_gadget(self):
         o, hk, gk, tbl = self._setup(5, (2, 5))
-        got = apply_phase_table(make_gadget(gk), tbl, hk[1], o)
+        got = _receive(make_gadget(gk), tbl, hk[1], o)
         want = make_gadget(gk, PhasePair(2, 5))
         assert got.keys == want.keys
         assert cmath.isclose(got.amp0, want.amp0, abs_tol=1e-15)
@@ -112,7 +122,7 @@ class TestPhaseTableApplication:
         hk, gk = _pair(rng, 12), _pair(rng, 12)
         t1 = make_phase_table(hk, gk, th_a, 12, o, rng)
         t2 = make_phase_table(hk, gk, th_b, 12, o, rng)
-        g = apply_phase_table(apply_phase_table(make_gadget(gk), t1, hk[0], o), t2, hk[0], o)
+        g = _receive(_receive(make_gadget(gk), t1, hk[0], o), t2, hk[0], o)
         want = make_gadget(gk, PhasePair((th_a[0] + th_b[0]) % 8, (th_a[1] + th_b[1]) % 8))
         assert cmath.isclose(g.amp1 / g.amp0, want.amp1 / want.amp0, abs_tol=1e-12)
         assert abs(g.norm_sq - 1) < 1e-12
@@ -121,7 +131,7 @@ class TestPhaseTableApplication:
         o, hk, gk, tbl = self._setup(6, (1, 2))
         bad = Bits(hk[0].value ^ 1, hk[0].width)
         with pytest.raises(TableMismatch):
-            apply_phase_table(make_gadget(gk), tbl, bad, o)
+            _receive(make_gadget(gk), tbl, bad, o)
 
 
 class TestDephase:

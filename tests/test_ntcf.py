@@ -126,10 +126,9 @@ def test_every_image_has_exactly_two_preimages():
     hits: dict[int, set[tuple[int, int]]] = {}
     for b in (0, 1):
         for xv in range(64):
-            x = Bits(xv, 6)
-            u = x.xor(km.pk.shift) if b else x
-            y = _permute(km.pk.perm_seed, u.concat(Bits(0, 6)), 6)
-            hits.setdefault(y.value, set()).add((b, xv))
+            u = xv ^ km.pk.shift.value if b else xv
+            y = _permute(km.pk.prf, u << 6, 6)  # f(b, x) = P(u || 0^kappa)
+            hits.setdefault(y, set()).add((b, xv))
     assert len(hits) == 64
     for pre in hits.values():
         assert len(pre) == 2

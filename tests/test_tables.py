@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqcsim.bits import Bits
-from cvqcsim.oracle import RandomOracle, blind
+from cvqcsim.oracle import RandomOracle
 from cvqcsim.tables import (
     XOR,
     Z8,
@@ -35,7 +35,7 @@ class TestEncrypt:
         o = RandomOracle(SEED)
         rng = random.Random(0)
         ct = encrypt(Bits(0xBEEF, 16), 0, Z8, KAPPA, o, rng)
-        mask = o.query(ct.pad_r.concat(Bits(0xBEEF, 16)), 3).value
+        mask = o.query(Bits(ct.pad_r, KAPPA).concat(Bits(0xBEEF, 16)), 3)
         assert ct.masked == mask
 
     def test_z8_round_trip(self):
@@ -43,18 +43,18 @@ class TestEncrypt:
         rng = random.Random(1)
         key = Bits(0x1234, 16)
         ct = encrypt(key, 3, Z8, KAPPA, o, rng)
-        tbl = LookupTable((ct,), Z8)
-        assert decrypt_row(tbl, key, o, KAPPA) == (0, 3)
+        tbl = LookupTable((ct,), Z8, KAPPA)
+        assert decrypt_row(tbl, key, o) == (0, 3)
 
     @settings(max_examples=50)
     @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1), st.integers(0, 999))
     def test_xor_round_trip(self, kv, pv, salt):
         o = RandomOracle(SEED)
         rng = random.Random(salt)
-        key, p = Bits(kv, 16), Bits(pv, 16)
-        ct = encrypt(key, p, XOR, 16, o, rng)
-        tbl = LookupTable((ct,), XOR)
-        assert decrypt_row(tbl, key, o, 16) == (0, p)
+        key = Bits(kv, 16)
+        ct = encrypt(key, pv, XOR, 16, o, rng)
+        tbl = LookupTable((ct,), XOR, 16)
+        assert decrypt_row(tbl, key, o) == (0, pv)
 
     def test_rejects_bad_plaintext(self):
         o = RandomOracle(SEED)
@@ -62,7 +62,9 @@ class TestEncrypt:
         with pytest.raises(AssertionError):
             encrypt(Bits(1, 8), 9, Z8, 8, o, rng)
         with pytest.raises(AssertionError):
-            encrypt(Bits(1, 8), Bits(0, 4), XOR, 8, o, rng)
+            encrypt(Bits(1, 8), 1 << 8, XOR, 8, o, rng)  # wider than kappa
+        with pytest.raises(AssertionError):
+            encrypt(Bits(1, 8), Bits(0, 8), XOR, 8, o, rng)  # not an int
         with pytest.raises(ValueError):
             encrypt(Bits(1, 8), 0, "GF4", 8, o, rng)
 
@@ -72,7 +74,7 @@ class TestDecryptRow:
         o = RandomOracle(SEED)
         rng = random.Random(3)
         tbl = make_phase_table(_pair(rng, KAPPA), _pair(rng, KAPPA), (2, 5), KAPPA, o, rng)
-        assert decrypt_row(tbl, Bits(rng.getrandbits(2 * KAPPA), 2 * KAPPA), o, KAPPA) is None
+        assert decrypt_row(tbl, Bits(rng.getrandbits(2 * KAPPA), 2 * KAPPA), o) is None
 
     def test_small_kappa_false_match_rate(self):
         # with an unrelated key each of the 4 tags matches w.p. 2^-4, so a
@@ -93,7 +95,7 @@ class TestDecryptRow:
                 continue
             n += 1
             try:
-                hits += decrypt_row(tbl, key, o, kappa) is not None
+                hits += decrypt_row(tbl, key, o) is not None
             except TagCollision:
                 hits += 1
         p = 1 - (1 - 2**-4) ** 4
@@ -107,10 +109,10 @@ class TestDecryptRow:
         rng = random.Random(5)
         key = Bits(0xAB, 8)
         tbl = LookupTable(
-            (encrypt(key, 1, Z8, 8, o, rng), encrypt(key, 2, Z8, 8, o, rng)), Z8
+            (encrypt(key, 1, Z8, 8, o, rng), encrypt(key, 2, Z8, 8, o, rng)), Z8, 8
         )
         with pytest.raises(TagCollision):
-            decrypt_row(tbl, key, o, 8)
+            decrypt_row(tbl, key, o)
 
 
 class TestPhaseTable:
@@ -121,7 +123,7 @@ class TestPhaseTable:
         tbl = make_phase_table(hk, gk, (0, 0), KAPPA, o, rng)
         for bh in (0, 1):
             for b in (0, 1):
-                assert decrypt_row(tbl, hk[bh].concat(gk[b]), o, KAPPA)[1] == 0
+                assert decrypt_row(tbl, hk[bh].concat(gk[b]), o)[1] == 0
 
     def test_branch_phases_for_both_helper_prefixes(self):
         o = RandomOracle(SEED)
@@ -129,8 +131,8 @@ class TestPhaseTable:
         hk, gk = _pair(rng, KAPPA), _pair(rng, KAPPA)
         tbl = make_phase_table(hk, gk, (2, 5), KAPPA, o, rng)
         for bh in (0, 1):
-            assert decrypt_row(tbl, hk[bh].concat(gk[0]), o, KAPPA)[1] == 2
-            assert decrypt_row(tbl, hk[bh].concat(gk[1]), o, KAPPA)[1] == 5
+            assert decrypt_row(tbl, hk[bh].concat(gk[0]), o)[1] == 2
+            assert decrypt_row(tbl, hk[bh].concat(gk[1]), o)[1] == 5
 
     @settings(max_examples=30)
     @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 999))
@@ -140,7 +142,7 @@ class TestPhaseTable:
         hk, gk = _pair(rng, 12), _pair(rng, 12)
         tbl = make_phase_table(hk, gk, (t0, t1), 12, o, rng)
         seen = {
-            (bh, b): decrypt_row(tbl, hk[bh].concat(gk[b]), o, 12)[1]
+            (bh, b): decrypt_row(tbl, hk[bh].concat(gk[b]), o)[1]
             for bh in (0, 1)
             for b in (0, 1)
         }
@@ -154,10 +156,10 @@ class TestCombineTable:
         ka, kb = _pair(rng, KAPPA), _pair(rng, KAPPA)
         r0, r1 = _pair(rng, KAPPA)
         tbl = make_combine_table(ka, kb, r0, r1, KAPPA, o, rng)
-        assert decrypt_row(tbl, ka[0].concat(kb[0]), o, KAPPA)[1] == r0
-        assert decrypt_row(tbl, ka[0].concat(kb[1]), o, KAPPA)[1] == r1
-        assert decrypt_row(tbl, ka[1].concat(kb[1]), o, KAPPA)[1] == r0
-        assert decrypt_row(tbl, ka[1].concat(kb[0]), o, KAPPA)[1] == r1
+        assert decrypt_row(tbl, ka[0].concat(kb[0]), o)[1] == r0.value
+        assert decrypt_row(tbl, ka[0].concat(kb[1]), o)[1] == r1.value
+        assert decrypt_row(tbl, ka[1].concat(kb[1]), o)[1] == r0.value
+        assert decrypt_row(tbl, ka[1].concat(kb[0]), o)[1] == r1.value
 
     def test_equal_targets_rejected(self):
         o = RandomOracle(SEED)
@@ -173,12 +175,11 @@ class TestCombineTable:
         r0, r1 = _pair(rng, KAPPA)
         tbl = make_combine_table(ka, kb, r0, r1, KAPPA, o, rng)
         got = [
-            decrypt_row(tbl, ka[a].concat(kb[b]), o, KAPPA)[1]
+            decrypt_row(tbl, ka[a].concat(kb[b]), o)[1]
             for a in (0, 1)
             for b in (0, 1)
         ]
-        assert sorted(g.value for g in got).count(r0.value) == 2
-        assert got.count(r0) == 2 and got.count(r1) == 2
+        assert got.count(r0.value) == 2 and got.count(r1.value) == 2
 
 
 class TestTableProperties:
@@ -187,24 +188,11 @@ class TestTableProperties:
         rng = random.Random(11)
         hk, gk = _pair(rng, KAPPA), _pair(rng, KAPPA)
         tbl = make_phase_table(hk, gk, (3, 6), KAPPA, o, rng)
-        shuffled = LookupTable(tuple(reversed(tbl.rows)), tbl.group)
+        shuffled = tbl._replace(rows=tuple(reversed(tbl.rows)))
         for bh in (0, 1):
             for b in (0, 1):
                 key = hk[bh].concat(gk[b])
-                assert decrypt_row(tbl, key, o, KAPPA)[1] == decrypt_row(shuffled, key, o, KAPPA)[1]
-
-    def test_blinded_key_opens_nothing(self):
-        # blinding {0,1}^(2 kappa) || x0||k -- the "switch off" view: with the
-        # table key blinded, every tag check misses (up to 2^-kappa accidents)
-        o = RandomOracle(SEED)
-        rng = random.Random(12)
-        hk, gk = _pair(rng, KAPPA), _pair(rng, KAPPA)
-        tbl = make_phase_table(hk, gk, (2, 5), KAPPA, o, rng)
-        key = hk[0].concat(gk[0])
-        view = blind(o, [(KAPPA, key)])  # pads are kappa bits, then the 2kappa-bit key
-        assert decrypt_row(tbl, key, view, KAPPA) is None
-        # other keys unaffected
-        assert decrypt_row(tbl, hk[1].concat(gk[1]), view, KAPPA)[1] == 5
+                assert decrypt_row(tbl, key, o)[1] == decrypt_row(shuffled, key, o)[1]
 
     def test_payload_round_trip(self):
         o = RandomOracle(SEED)
@@ -219,3 +207,11 @@ class TestTableProperties:
             assert table_from_payload(p) == tbl
             assert {"rows", "group"} == set(p)
             assert all({"R", "ct", "Rp", "tag"} == set(r) for r in p["rows"])
+
+    def test_payload_rejects_mixed_widths(self):
+        o = RandomOracle(SEED)
+        rng = random.Random(14)
+        p = table_payload(make_phase_table(_pair(rng, KAPPA), _pair(rng, KAPPA), (1, 4), KAPPA, o, rng))
+        p["rows"][2]["Rp"] = Bits(1, KAPPA + 1).token()  # every token must be as wide as the tags
+        with pytest.raises(ValueError):
+            table_from_payload(p)

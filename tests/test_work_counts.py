@@ -2,10 +2,11 @@
 
 Counters are installed by monkeypatching the names the code looks up at
 call time (``protocol.dec``, ``protocol.table_payload``, ``Bits.token``, the
-module-global ``_stream_bits`` in ``ntcf`` and ``oracle``), so these tests
-pin how much work a session does without timing anything.
+module-global ``_stream_bits`` in ``ntcf`` and ``oracle``, ``ntcf.prf_key``),
+so these tests pin how much work a session does without timing anything.
 """
 
+import gc
 from collections import Counter
 
 import pytest
@@ -80,3 +81,54 @@ def test_prf_calls_per_gadget_are_linear_in_L(counts):
         assert abs(ratio - 1) <= 0.05, (k, per_gadget)
     total = {L: sum(c.values()) for L, c in per_gadget.items()}
     assert abs(total[512] / total[128] - 1) <= 0.05, total
+
+
+# (oracle._stream_bits, ntcf._stream_bits) calls per session at kappa=16,
+# L=8, seed f"prf-{plan}": every PRF evaluation the protocol makes, pinned
+# so that a refactor can neither skip a check nor add a hash.
+PRF_CALLS = {
+    "honest": {
+        "test": (0, 80), "prep:stdb": (182, 80), "prep:coph": (344, 80),
+        "prep:inph": (184, 80), "prep:bn": (262, 80), "comp": (182, 80),
+    },
+    "random_response": {
+        "test": (0, 80), "prep:stdb": (182, 80), "prep:coph": (202, 80),
+        "prep:inph": (182, 80), "prep:bn": (182, 80), "comp": (182, 80),
+    },
+}
+
+
+def test_prf_calls_per_session_are_pinned(counts):
+    tally, patch = counts
+    patch(oracle, "_stream_bits", "oracle")
+    patch(ntcf, "_stream_bits", "ntcf")
+    for name, per_plan in PRF_CALLS.items():
+        for plan, want in per_plan.items():
+            tally.clear()
+            run_pre_rspv(adv.parse_strategy(name), f"prf-{plan}", kappa=16, L=8, force_plan=plan)
+            assert (tally["oracle"], tally["ntcf"]) == want, (name, plan)
+
+
+def test_one_prf_key_per_ntcf_block(counts):
+    tally, patch = counts
+    patch(ntcf, "prf_key", "prf_key")
+    L = 8
+    for plan in ROUND_TYPES:
+        tally.clear()
+        run_pre_rspv(adv.honest(), f"key-{plan}", kappa=16, L=L, force_plan=plan)
+        assert tally["prf_key"] == L + 2  # keygen only; eval_claw and dec reuse the key's state
+
+
+def test_oracle_memo_holds_nothing_the_collector_tracks(monkeypatch):
+    made = []
+
+    def recording(seed):
+        made.append(oracle.RandomOracle(seed))
+        return made[-1]
+
+    monkeypatch.setattr(protocol, "RandomOracle", recording)
+    run_pre_rspv(adv.honest(), "gc-64", kappa=16, L=64, force_plan="comp")
+    gc.collect()
+    (memo,) = [o.cache for o in made]
+    assert len(memo) > 1000
+    assert not any(gc.is_tracked(k) or gc.is_tracked(v) for k, v in memo.items())
