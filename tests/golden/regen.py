@@ -5,6 +5,10 @@ Each entry is the SHA-256 of a byte-exact output of the simulator:
 * ``transcript/<strategy>/<round type>/<seed>`` — the JSONL transcript of
   one forced session at kappa=8, L=3, for each of the seven built-in
   strategies, the six round types and two seeds;
+* ``transcript/<strategy>/k16-L8/<seed>`` — the JSONL transcript of one
+  naturally dispatched session at kappa=16, L=8 (full-size tables and
+  4-nibble tokens), for the six strategies of the recorded-mix-L8 benchmark
+  workload and the same two seeds;
 * ``stats/<strategy>/...`` — the canonical ``stats`` report JSON;
 * ``amplify/...`` — exit code and stdout of one ``cvqcsim amplify`` run.
 
@@ -45,6 +49,7 @@ STRATEGIES = {
     "ghz_collapse": "ghz_collapse",
 }
 TRANSCRIPT_SEEDS = ("golden-0", "golden-1")
+RECORDED_MIX = ("honest", "conjugate", "phase_offset-bump3", "ghz_collapse", "random_response", "corrupt_setup")
 STATS = {  # name -> (strategy, L, kappa, sessions)
     "stats/honest/k8-L3-n400": ("honest", 3, 8, 400),
     "stats/phase_offset-bump3/k8-L3-n400": (STRATEGIES["phase_offset-bump3"], 3, 8, 400),
@@ -69,6 +74,11 @@ def compute() -> dict[str, str]:
                     strategy, seed, kappa=8, L=3, force_plan=plan, collect_transcript=True
                 )
                 out[f"transcript/{name}/{plan}/{seed}"] = _sha(res.transcript.to_jsonl())
+    for name in RECORDED_MIX:
+        strategy = parse_strategy(STRATEGIES[name])
+        for seed in TRANSCRIPT_SEEDS:
+            res = run_pre_rspv(strategy, seed, kappa=16, L=8, collect_transcript=True)
+            out[f"transcript/{name}/k16-L8/{seed}"] = _sha(res.transcript.to_jsonl())
     for name, (spec, L, kappa, sessions) in STATS.items():
         report = estimate_rates(L, kappa, sessions, parse_strategy(spec), name.encode())
         out[name] = _sha(report.to_json())
