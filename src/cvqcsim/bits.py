@@ -8,13 +8,21 @@ significant bit of ``value`` — concatenation shifts the left operand up, a
 in bits and may be zero (the empty string is a legal prefix).
 
 Tokens — the wire/JSON form — look like ``"12:0af"``: width in bits, colon,
-the value in lowercase hex padded to ceil(width/4) nibbles.
+the value in lowercase hex padded to ceil(width/4) nibbles (``token_format``).
 """
 
 from __future__ import annotations
 
-import random
-from typing import NamedTuple
+from functools import lru_cache
+from typing import Callable, NamedTuple
+
+
+@lru_cache(maxsize=256)
+def token_format(width: int) -> Callable[[int], str]:
+    """``token_format(w)(v) == Bits(v, w).token()``; at width 0 the template
+    has no field and ``str.format`` ignores the value."""
+    nibbles = (width + 3) // 4
+    return (f"{width}:{{:0{nibbles}x}}" if nibbles else f"{width}:").format
 
 
 class Bits(NamedTuple):
@@ -25,11 +33,7 @@ class Bits(NamedTuple):
         return self.token()
 
     def token(self) -> str:
-        nibbles = (self.width + 3) // 4
-        return f"{self.width}:{self.value:0{nibbles}x}" if nibbles else f"{self.width}:"
-
-    def to_bytes(self) -> bytes:
-        return self.value.to_bytes((self.width + 7) // 8, "big")
+        return token_format(self.width)(self.value)
 
     def concat(self, other: Bits) -> Bits:
         return Bits((self.value << other.width) | other.value, self.width + other.width)
@@ -42,10 +46,6 @@ class Bits(NamedTuple):
         """Inner product mod 2, <self, other>."""
         assert self.width == other.width, "dot of unequal widths"
         return (self.value & other.value).bit_count() & 1
-
-    def prefix(self, n: int) -> Bits:
-        assert 0 <= n <= self.width
-        return Bits(self.value >> (self.width - n), n)
 
     def suffix(self, n: int) -> Bits:
         assert 0 <= n <= self.width
@@ -63,15 +63,6 @@ def make_bits(value: int, width: int) -> Bits:
     if value < 0 or value >> width:
         raise ValueError(f"value {value} out of range for width {width}")
     return Bits(value, width)
-
-
-def from_bytes(data: bytes) -> Bits:
-    return Bits(int.from_bytes(data, "big"), 8 * len(data))
-
-
-def fresh(rng: random.Random, width: int) -> Bits:
-    """Uniform bitstring from the given stream (width 0 allowed)."""
-    return Bits(rng.getrandbits(width) if width else 0, width)
 
 
 def parse_token(token: str) -> Bits:

@@ -99,9 +99,9 @@ class PlusStateVector:
 def make_gadget(keys: KeyPair, phases: PhasePair | None = None) -> Gadget:
     assert keys[0] != keys[1], "branch keys must be distinct"
     if phases is None:
-        return Gadget(KeyPair(*keys), INV_SQRT2 + 0j, INV_SQRT2 + 0j)
+        return Gadget(keys, INV_SQRT2 + 0j, INV_SQRT2 + 0j)
     return Gadget(
-        KeyPair(*keys),
+        keys,
         ROOT8[phases[0] % 8] * INV_SQRT2,
         ROOT8[phases[1] % 8] * INV_SQRT2,
     )

@@ -20,6 +20,10 @@ it.  Claw-freeness is enforced by interface discipline instead: server-side
 strategy code never receives key material, only honest post-measurement
 branch data.
 
+pk and sk share one memo of Feistel round outputs, as client and server share
+one oracle memo: ``dec`` of an honest image reuses ``eval_claw``'s four rounds.
+The memo caches a pure function of the key, so no output changes.
+
 The protocol imports these module functions directly (``keygen``,
 ``eval_claw``, ``dec``, ``claw_partner``; ``chk`` for checks), so an
 LWE-backed scheme would replace them here, behind the same signatures.
@@ -42,6 +46,7 @@ class NtcfPublicKey(NamedTuple):
     perm_seed: bytes
     shift: Bits  # functionally public in this mock; see module docstring
     prf: blake2b  # blake2b keyed by perm_seed, built once per key
+    rounds: dict[int, int]  # Feistel round memo, shared with the secret key
 
 
 class NtcfSecretKey(NamedTuple):
@@ -49,12 +54,12 @@ class NtcfSecretKey(NamedTuple):
     perm_seed: bytes
     shift: Bits
     prf: blake2b
+    rounds: dict[int, int]
 
 
 class NtcfKeyMaterial(NamedTuple):
     pk: NtcfPublicKey
     sk: NtcfSecretKey
-    kappa: int
 
 
 class ClawResult(NamedTuple):
@@ -63,23 +68,29 @@ class ClawResult(NamedTuple):
     x1: Bits
 
 
-def _round_fn(keyed: blake2b, rnd: int, half: int, kappa: int) -> int:
+def _round_fn(key: NtcfPublicKey | NtcfSecretKey, rnd: int, half: int) -> int:
     # independent PRF per round: tag the round index above the input half
-    return _stream_bits(keyed, ((rnd << kappa) | half, kappa + 8), kappa)
+    inp = (rnd << key.kappa) | half
+    out = key.rounds.get(inp)
+    if out is None:
+        out = key.rounds[inp] = _stream_bits(key.prf, (inp, key.kappa + 8), key.kappa)
+    return out
 
 
-def _permute(keyed: blake2b, u: int, kappa: int) -> int:
-    """P on 2*kappa-bit ints; `keyed` is the key's ``prf``."""
+def _permute(key: NtcfPublicKey | NtcfSecretKey, u: int) -> int:
+    """P on 2*kappa-bit ints, under either key of a pair."""
+    kappa = key.kappa
     left, right = u >> kappa, u & ((1 << kappa) - 1)
     for rnd in range(_ROUNDS):
-        left, right = right, left ^ _round_fn(keyed, rnd, right, kappa)
+        left, right = right, left ^ _round_fn(key, rnd, right)
     return (left << kappa) | right
 
 
-def _unpermute(keyed: blake2b, y: int, kappa: int) -> int:
+def _unpermute(key: NtcfPublicKey | NtcfSecretKey, y: int) -> int:
+    kappa = key.kappa
     left, right = y >> kappa, y & ((1 << kappa) - 1)
     for rnd in reversed(range(_ROUNDS)):
-        left, right = right ^ _round_fn(keyed, rnd, left, kappa), left
+        left, right = right ^ _round_fn(key, rnd, left), left
     return (left << kappa) | right
 
 
@@ -89,10 +100,8 @@ def keygen(kappa: int, rng: Random) -> NtcfKeyMaterial:
         raise ValueError("kappa must be >= 2 (shift space degenerate below that)")
     perm_seed = rng.randbytes(32)
     shift = Bits(rng.randrange(1, 1 << kappa), kappa)
-    prf = prf_key(perm_seed)
-    pk = NtcfPublicKey(kappa, perm_seed, shift, prf)
-    sk = NtcfSecretKey(kappa, perm_seed, shift, prf)
-    return NtcfKeyMaterial(pk, sk, kappa)
+    pk = NtcfPublicKey(kappa, perm_seed, shift, prf_key(perm_seed), {})
+    return NtcfKeyMaterial(pk, NtcfSecretKey(*pk))  # one blake2b state and one round memo
 
 
 def eval_claw(pk: NtcfPublicKey, rng: Random) -> ClawResult:
@@ -105,7 +114,7 @@ def eval_claw(pk: NtcfPublicKey, rng: Random) -> ClawResult:
     """
     kappa = pk.kappa
     u = rng.getrandbits(kappa)
-    y = Bits(_permute(pk.prf, u << kappa, kappa), 2 * kappa)
+    y = Bits(_permute(pk, u << kappa), 2 * kappa)
     return ClawResult(y=y, x0=Bits(u, kappa), x1=Bits(u ^ pk.shift.value, kappa))
 
 
@@ -114,7 +123,7 @@ def dec(sk: NtcfSecretKey, b: int, y: Bits) -> Bits | None:
     kappa = sk.kappa
     if y.width != 2 * kappa:
         return None
-    u = _unpermute(sk.prf, y.value, kappa)
+    u = _unpermute(sk, y.value)
     if u & ((1 << kappa) - 1):
         return None
     x = Bits(u >> kappa, kappa)
@@ -133,4 +142,4 @@ def chk(pk: NtcfPublicKey, b: int, x: Bits, y: Bits) -> bool:
     if x.width != kappa or y.width != 2 * kappa:
         return False
     u = x.value ^ pk.shift.value if b else x.value
-    return _permute(pk.prf, u << kappa, kappa) == y.value
+    return _permute(pk, u << kappa) == y.value

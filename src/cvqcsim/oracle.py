@@ -12,8 +12,10 @@ rest of the stack relies on:
 Output length is capped at |input|^2 bits: a fixed polynomial cut-off that
 keeps the map total without giving callers unbounded stretch.
 
-Inputs are (value, width) pairs and outputs plain ints, so the memo holds
-nothing the cyclic garbage collector has to track.
+Inputs are (value, width) pairs and outputs plain ints.  The memo key is
+one int, ``(value << 64) | (width << 32) | out_len``; width and out_len are
+checked to fit 32 bits, so distinct queries get distinct keys, and the memo
+holds nothing the cyclic garbage collector has to track.
 
 One oracle instance per protocol session; sessions are independent
 experiments, so nothing is shared across them.
@@ -60,26 +62,22 @@ def _stream_bits(keyed: blake2b, inp: tuple[int, int], out_len: int) -> int:
 
 
 class RandomOracle:
-    """Lazy random map {0,1}* -> {0,1}^outLen, seeded, memoized.
+    """Lazy random map {0,1}* -> {0,1}^outLen, seeded, memoized; inputs are
+    (value, width) pairs (a Bits is one), outputs out_len-bit ints."""
 
-    Inputs are (value, width) pairs (a Bits is one) or bytes; outputs are
-    out_len-bit ints.
-    """
-
-    __slots__ = ("seed", "keyed", "cache")
+    __slots__ = ("keyed", "cache")
 
     def __init__(self, seed: bytes):
         if len(seed) != 32:
             raise ValueError("oracle seed must be 32 bytes")
-        self.seed = seed
         self.keyed = prf_key(seed)
-        self.cache: dict[tuple[int, int, int], int] = {}
+        self.cache: dict[int, int] = {}
 
-    def query(self, inp: tuple[int, int] | bytes, out_len: int) -> int:
-        if not isinstance(inp, tuple):
-            inp = (int.from_bytes(inp, "big"), 8 * len(inp))
+    def query(self, inp: tuple[int, int], out_len: int) -> int:
         value, width = inp
-        key = (value, width, out_len)
+        if (width | out_len) >> 32:  # also catches negatives
+            raise ValueError(f"width {width} or outLen {out_len} outside [0, 2^32)")
+        key = (value << 64) | (width << 32) | out_len
         hit = self.cache.get(key)
         if hit is None:
             # a cached key passed this check when it was stored
@@ -89,7 +87,7 @@ class RandomOracle:
         return hit
 
 
-def query(oracle: RandomOracle, inp: tuple[int, int] | bytes, out_len: int) -> int:
+def query(oracle: RandomOracle, inp: tuple[int, int], out_len: int) -> int:
     return oracle.query(inp, out_len)
 
 

@@ -31,9 +31,9 @@ The sub-round functions are module-level and take their dependencies
 explicitly, so tests can drive a single round shape directly (e.g. hammer
 the Hadamard test with a fixed delta) without fighting the dispatcher.
 
-Transcript payloads that cost work to build (``Bits`` tokens, table
-payloads) are built only when the transcript is recording; bulk runs pass
-the shared non-recording ``NULL_TRANSCRIPT`` and skip that work.
+Per-gadget payloads are built only when recording; bulk runs pass the
+non-recording ``NULL_TRANSCRIPT``.  ``to_jsonl`` writes ``json.dumps``'s bytes
+through one shared ``JSONEncoder`` without the cycle check (messages are trees).
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ ROUND_TYPES = ("test", "prep:stdb", "prep:coph", "prep:inph", "prep:bn", "comp")
 _PREP_MENU = ("prep:stdb", "prep:coph", "prep:inph", "prep:bn", "comp")
 
 P_QUIZ = 0.1  # dispatch probability of the scored (in-phase quiz) round
+
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def check_size(L: int, kappa: int) -> None:
@@ -85,7 +87,7 @@ class Transcript:
             )
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(e, separators=(",", ":")) for e in self.entries) + "\n"
+        return "\n".join(map(_encode, self.entries)) + "\n"
 
 
 NULL_TRANSCRIPT = Transcript(recording=False)  # shared sink for bulk runs
@@ -138,7 +140,8 @@ def run_setup(
     secrets = ClientSecrets(kappa, L)
     for idx in (HELPER, *range(L + 1)):
         km = keygen(kappa, client_rng)
-        tr.say("client", "setup.block", {"idx": idx, "kappa": kappa})
+        if tr.recording:
+            tr.say("client", "setup.block", {"idx": idx, "kappa": kappa})
         claw = eval_claw(km.pk, server_rng)
         y = session.setup_block(idx, claw)
         if tr.recording:
@@ -151,16 +154,18 @@ def run_setup(
 
 
 def run_stdb_test(
-    secrets: ClientSecrets, session: ServerSession, tr: Transcript, indices: list[int]
+    keys: dict[int, KeyPair], session: ServerSession, tr: Transcript, indices: list[int]
 ) -> bool:
-    """Standard-basis check: every reported string must be a branch key."""
-    tr.say("client", "measure.std", {"idx": indices})
+    """Standard-basis check: every reported string must be a key of its
+    index's pair in `keys`."""
+    if tr.recording:
+        tr.say("client", "measure.std", {"idx": indices})
     resp = session.respond_std(indices)
     if tr.recording:
         tr.say("server", "reply.std", {"values": [b.token() for b in resp]})
     if len(resp) != len(indices):
         return False
-    return all(r in secrets.keys[i] for i, r in zip(indices, resp))
+    return all(r in keys[i] for i, r in zip(indices, resp))
 
 
 def run_hadamard_test(
@@ -185,7 +190,8 @@ def run_hadamard_test(
     """
     if phases is not None:
         v = (phases.theta1 - phases.theta0 - (delta or 0)) % 8
-        tr.say("client", "reveal.phase", {"idx": idx, "v": v})
+        if tr.recording:
+            tr.say("client", "reveal.phase", {"idx": idx, "v": v})
         session.dephase_reveal(idx, v)
     pad = fresh_pad(client_rng, kappa)
     if tr.recording:
@@ -193,9 +199,7 @@ def run_hadamard_test(
     d = session.respond_hadamard(idx, pad)
     if tr.recording:
         tr.say("server", "reply.hadamard", {"idx": idx, "d": d.token()})
-    if d.width != keys.x0.width + kappa:
-        return False, None
-    if d.suffix(kappa).is_zero:
+    if d.width != keys.x0.width + kappa or d.suffix(kappa).is_zero:
         return False, None
     x0, x1 = keys
     h0 = query(oracle, pad.concat(x0), kappa)
@@ -293,11 +297,7 @@ def _coin_check(
     if force_coin is not None:
         coin = force_coin
     if coin == "std":
-        tr.say("client", "measure.std", {"idx": [base]})
-        resp = session.respond_std([base])
-        if tr.recording:
-            tr.say("server", "reply.std", {"values": [b.token() for b in resp]})
-        return len(resp) == 1 and resp[0] in kk
+        return run_stdb_test({base: kk}, session, tr, [base])
     delta = client_rng.choice((0, 4))
     ok, parity = run_hadamard_test(
         session, tr, oracle, client_rng, base, kk, secrets.kappa, tt, delta
@@ -384,7 +384,8 @@ def run_bn_test(
     for i in range(1, L + 1):
         t = secrets.thetas[i]
         v = (t.theta1 - t.theta0) % 8
-        tr.say("client", "reveal.phase", {"idx": i, "v": v})
+        if tr.recording:
+            tr.say("client", "reveal.phase", {"idx": i, "v": v})
         session.dephase_reveal(i, v)
         secrets.thetas[i] = PhasePair(t.theta0, t.theta0)
     while True:
@@ -396,8 +397,9 @@ def run_bn_test(
     if folded is None:
         return False
     kk, tt = folded
-    complement = [0] + [i for i in range(1, L + 1) if i not in subset]
-    if not run_stdb_test(secrets, session, tr, complement):
+    chosen = set(subset)
+    complement = [0] + [i for i in range(1, L + 1) if i not in chosen]
+    if not run_stdb_test(secrets.keys, session, tr, complement):
         return False
     return _coin_check(secrets, session, tr, oracle, client_rng, base, kk, tt, force_coin)
 
@@ -407,7 +409,7 @@ def run_comp_round(
 ) -> tuple[bool, CompOutputs]:
     """Computation round: burn the test gadget, then reveal every output
     gadget's key pair so the server can decode its qubits into the clear."""
-    flag = run_stdb_test(secrets, session, tr, [0])
+    flag = run_stdb_test(secrets.keys, session, tr, [0])
     indices = list(range(1, secrets.L + 1))
     revealed = [secrets.keys[i] for i in indices]
     if tr.recording:
@@ -479,11 +481,11 @@ def run_pre_rspv(
         secrets = run_setup(session, tr, client_rng, server_rng, kappa, L)
         if secrets is not None:
             if plan == "test":
-                flag = run_stdb_test(secrets, session, tr, [HELPER, *range(L + 1)])
+                flag = run_stdb_test(secrets.keys, session, tr, [HELPER, *range(L + 1)])
             elif not run_add_phase(secrets, session, tr, oracle, client_rng):
                 flag = False  # helper check failed; planned round type stands
             elif plan == "prep:stdb":
-                flag = run_stdb_test(secrets, session, tr, list(range(L + 1)))
+                flag = run_stdb_test(secrets.keys, session, tr, list(range(L + 1)))
             elif plan == "prep:coph":
                 flag = run_coph_test(secrets, session, tr, oracle, client_rng, force_coin)
             elif plan == "prep:inph":

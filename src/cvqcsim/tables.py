@@ -29,7 +29,7 @@ from __future__ import annotations
 from random import Random
 from typing import NamedTuple
 
-from .bits import Bits, parse_token
+from .bits import Bits, parse_token, token_format
 from .oracle import RandomOracle
 
 Z8 = "Z8"
@@ -181,13 +181,13 @@ def make_combine_table(
 
 def table_payload(table: LookupTable) -> dict:
     """Canonical JSON-friendly form (transcript wire format)."""
-    kappa = table.kappa
+    fmt = token_format(table.kappa)
     rows = [
         {
-            "R": Bits(row.pad_r, kappa).token(),
-            "ct": row.masked if table.group == Z8 else Bits(row.masked, kappa).token(),
-            "Rp": Bits(row.pad_rp, kappa).token(),
-            "tag": Bits(row.tag, kappa).token(),
+            "R": fmt(row.pad_r),
+            "ct": row.masked if table.group == Z8 else fmt(row.masked),
+            "Rp": fmt(row.pad_rp),
+            "tag": fmt(row.tag),
         }
         for row in table.rows
     ]

@@ -127,7 +127,7 @@ def test_every_image_has_exactly_two_preimages():
     for b in (0, 1):
         for xv in range(64):
             u = xv ^ km.pk.shift.value if b else xv
-            y = _permute(km.pk.prf, u << 6, 6)  # f(b, x) = P(u || 0^kappa)
+            y = _permute(km.pk, u << 6)  # f(b, x) = P(u || 0^kappa)
             hits.setdefault(y, set()).add((b, xv))
     assert len(hits) == 64
     for pre in hits.values():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cvqcsim.bits import Bits
-from cvqcsim.oracle import RandomOracle, derive_seed, fresh_pad, query
+from cvqcsim.oracle import RandomOracle, _stream_bits, derive_seed, fresh_pad, query
 
 SEED_A = bytes(range(32))
 SEED_B = bytes(range(1, 33))
@@ -47,9 +47,17 @@ class TestQuery:
         for n in (16, 512, 513, 1024, 1025, 1600):
             assert query(RandomOracle(SEED_A), x, n) == ref >> (8 * len(raw) - n)
 
-    def test_bytes_input_equals_bits_input(self):
+    def test_memo_key_separates_width_and_length(self):
+        # the memo key packs (value, width, out_len) into one int
         o = RandomOracle(SEED_A)
-        assert query(o, b"\x12\x34", 16) == query(o, Bits(0x1234, 16), 16)
+        triples = ((1, 8, 16), (1, 16, 8), (1, 9, 16))
+        for value, width, out_len in triples:
+            assert query(o, (value, width), out_len) == _stream_bits(o.keyed, (value, width), out_len)
+        assert len(o.cache) == len(triples)
+        for width, out_len in ((1 << 32, 8), (8, 1 << 32), (1 << 40, 1 << 33)):
+            with pytest.raises(ValueError):
+                query(o, (1, width), out_len)
+        assert len(o.cache) == len(triples)
 
     def test_length_bound(self):
         o = RandomOracle(SEED_A)

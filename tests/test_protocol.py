@@ -77,6 +77,19 @@ def test_transcript_seq_and_jsonl_shape():
     assert first == {"seq": 0, "sender": "client", "step": "round.plan", "payload": {"type": "test"}}
 
 
+def test_to_jsonl_matches_json_dumps_per_entry():
+    # the shared encoder writes the bytes json.dumps writes, message by message
+    specs = ("honest", "conjugate", {"attack": "phase_offset", "g": "bump:3"}, "random_response",
+             "always_lose", "corrupt_setup", "ghz_collapse")
+    for spec in specs:
+        for plan in ROUND_TYPES:
+            out = run_pre_rspv(adv.parse_strategy(spec), f"jsonl-{plan}", kappa=8, L=3,
+                               force_plan=plan, collect_transcript=True)
+            entries = out.transcript.entries
+            ref = "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in entries)
+            assert out.transcript.to_jsonl() == ref, (spec, plan)
+
+
 def test_null_transcript_drops_messages():
     before = len(NULL_TRANSCRIPT.entries)
     NULL_TRANSCRIPT.say("client", "x", {})

@@ -208,6 +208,23 @@ class TestTableProperties:
             assert {"rows", "group"} == set(p)
             assert all({"R", "ct", "Rp", "tag"} == set(r) for r in p["rows"])
 
+    def test_payload_tokens_are_bits_tokens(self):
+        o = RandomOracle(SEED)
+        rng = random.Random(15)
+        for kappa in (2, 5, 16):
+            ka, kb = _pair(rng, kappa), _pair(rng, kappa)
+            r0, r1 = _pair(rng, kappa)
+            for tbl in (
+                make_combine_table(ka, kb, r0, r1, kappa, o, rng),
+                make_phase_table(ka, kb, (1, 4), kappa, o, rng),
+            ):
+                for row, r in zip(tbl.rows, table_payload(tbl)["rows"]):
+                    assert r["R"] == Bits(row.pad_r, kappa).token()
+                    assert r["Rp"] == Bits(row.pad_rp, kappa).token()
+                    assert r["tag"] == Bits(row.tag, kappa).token()
+                    ct = Bits(row.masked, kappa).token() if tbl.group == XOR else row.masked
+                    assert r["ct"] == ct
+
     def test_payload_rejects_mixed_widths(self):
         o = RandomOracle(SEED)
         rng = random.Random(14)

@@ -75,7 +75,8 @@ def test_prf_calls_per_gadget_are_linear_in_L(counts):
             run_pre_rspv(adv.honest(), f"lin-{L}-{i}", kappa=16, L=L, force_plan="comp")
         gadgets = L * sessions
         per_gadget[L] = {k: tally[k] / gadgets for k in ("ntcf", "oracle")}
-        assert per_gadget[L]["ntcf"] == 8 * (L + 2) / L  # 4 Feistel rounds each way per block
+        # 4 Feistel rounds per block: dec finds eval_claw's rounds in the key's memo
+        assert per_gadget[L]["ntcf"] == 4 * (L + 2) / L
     for k in ("ntcf", "oracle"):
         ratio = per_gadget[512][k] / per_gadget[128][k]
         assert abs(ratio - 1) <= 0.05, (k, per_gadget)
@@ -88,12 +89,12 @@ def test_prf_calls_per_gadget_are_linear_in_L(counts):
 # so that a refactor can neither skip a check nor add a hash.
 PRF_CALLS = {
     "honest": {
-        "test": (0, 80), "prep:stdb": (182, 80), "prep:coph": (344, 80),
-        "prep:inph": (184, 80), "prep:bn": (262, 80), "comp": (182, 80),
+        "test": (0, 40), "prep:stdb": (182, 40), "prep:coph": (344, 40),
+        "prep:inph": (184, 40), "prep:bn": (262, 40), "comp": (182, 40),
     },
     "random_response": {
-        "test": (0, 80), "prep:stdb": (182, 80), "prep:coph": (202, 80),
-        "prep:inph": (182, 80), "prep:bn": (182, 80), "comp": (182, 80),
+        "test": (0, 40), "prep:stdb": (182, 40), "prep:coph": (202, 40),
+        "prep:inph": (182, 40), "prep:bn": (182, 40), "comp": (182, 40),
     },
 }
 
@@ -107,6 +108,25 @@ def test_prf_calls_per_session_are_pinned(counts):
             tally.clear()
             run_pre_rspv(adv.parse_strategy(name), f"prf-{plan}", kappa=16, L=8, force_plan=plan)
             assert (tally["oracle"], tally["ntcf"]) == want, (name, plan)
+
+
+def test_tampered_image_pays_for_its_own_rounds(counts, monkeypatch):
+    # corrupt_setup flips the low bit of the first image.  Inverting starts
+    # with the last round, whose input is the image's unchanged left half: a
+    # memo hit.  The other three rounds miss: 4 in eval_claw + 3 in dec.
+    tally, patch = counts
+    patch(ntcf, "_stream_bits", "ntcf")
+    decoded = []
+
+    def recording_dec(*args):
+        decoded.append(ntcf.dec(*args))
+        return decoded[-1]
+
+    monkeypatch.setattr(protocol, "dec", recording_dec)
+    out = run_pre_rspv(adv.corrupt_setup(), "tamper", kappa=16, L=8)
+    assert not out.flag
+    assert decoded == [None]
+    assert tally["ntcf"] == 7
 
 
 def test_one_prf_key_per_ntcf_block(counts):
