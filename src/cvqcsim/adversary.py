@@ -219,8 +219,10 @@ class GhzSession(ServerSession):
             slots[i] = slot
             k0, k1 = k0.concat(g.keys.x0), k1.concat(g.keys.x1)
             a0, a1 = a0 * g.amp0, a1 * g.amp1
-        scale = (abs(a0) ** 2 + abs(a1) ** 2) ** -0.5
-        self.joint = Gadget(KeyPair(k0, k1), a0 * scale, a1 * scale)
+            # renormalise per gadget: a product of L factors 2^-1/2 underflows
+            scale = (abs(a0) ** 2 + abs(a1) ** 2) ** -0.5
+            a0, a1 = a0 * scale, a1 * scale
+        self.joint = Gadget(KeyPair(k0, k1), a0, a1)
         self.merged = slots
 
     def _slice(self, b: int, idx: int) -> Bits:

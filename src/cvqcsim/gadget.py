@@ -132,10 +132,6 @@ def dephase(g: Gadget, revealed: int) -> Gadget:
     return Gadget(g.keys, g.amp0, g.amp1 * ROOT8[(8 - revealed % 8) % 8])
 
 
-def conjugate(g: Gadget) -> Gadget:
-    return Gadget(g.keys, g.amp0.conjugate(), g.amp1.conjugate())
-
-
 def std_sample(g: Gadget, rng: Random) -> tuple[int, Bits]:
     """Standard-basis measurement: (b, x_b) with Pr[b] = |amp_b|^2."""
     a0 = g.amp0

@@ -20,9 +20,10 @@ it.  Claw-freeness is enforced by interface discipline instead: server-side
 strategy code never receives key material, only honest post-measurement
 branch data.
 
-pk and sk share one memo of Feistel round outputs, as client and server share
-one oracle memo: ``dec`` of an honest image reuses ``eval_claw``'s four rounds.
-The memo caches a pure function of the key, so no output changes.
+In this mock the public and the secret key are one ``NtcfKey`` object, which
+carries a memo of Feistel round outputs, as client and server share one oracle
+memo: ``dec`` of an honest image reuses ``eval_claw``'s four rounds.  The memo
+caches a pure function of the key, so no output changes.
 
 The protocol imports these module functions directly (``keygen``,
 ``eval_claw``, ``dec``, ``claw_partner``; ``chk`` for checks), so an
@@ -41,25 +42,16 @@ from .oracle import _stream_bits, prf_key
 _ROUNDS = 4
 
 
-class NtcfPublicKey(NamedTuple):
+class NtcfKey(NamedTuple):
     kappa: int
-    perm_seed: bytes
     shift: Bits  # functionally public in this mock; see module docstring
-    prf: blake2b  # blake2b keyed by perm_seed, built once per key
-    rounds: dict[int, int]  # Feistel round memo, shared with the secret key
-
-
-class NtcfSecretKey(NamedTuple):
-    kappa: int
-    perm_seed: bytes
-    shift: Bits
-    prf: blake2b
-    rounds: dict[int, int]
+    prf: blake2b  # blake2b keyed by the permutation seed, built once per key
+    rounds: dict[int, int]  # Feistel round memo
 
 
 class NtcfKeyMaterial(NamedTuple):
-    pk: NtcfPublicKey
-    sk: NtcfSecretKey
+    pk: NtcfKey
+    sk: NtcfKey  # the same object as pk
 
 
 class ClawResult(NamedTuple):
@@ -68,7 +60,7 @@ class ClawResult(NamedTuple):
     x1: Bits
 
 
-def _round_fn(key: NtcfPublicKey | NtcfSecretKey, rnd: int, half: int) -> int:
+def _round_fn(key: NtcfKey, rnd: int, half: int) -> int:
     # independent PRF per round: tag the round index above the input half
     inp = (rnd << key.kappa) | half
     out = key.rounds.get(inp)
@@ -77,8 +69,8 @@ def _round_fn(key: NtcfPublicKey | NtcfSecretKey, rnd: int, half: int) -> int:
     return out
 
 
-def _permute(key: NtcfPublicKey | NtcfSecretKey, u: int) -> int:
-    """P on 2*kappa-bit ints, under either key of a pair."""
+def _permute(key: NtcfKey, u: int) -> int:
+    """P on 2*kappa-bit ints."""
     kappa = key.kappa
     left, right = u >> kappa, u & ((1 << kappa) - 1)
     for rnd in range(_ROUNDS):
@@ -86,7 +78,7 @@ def _permute(key: NtcfPublicKey | NtcfSecretKey, u: int) -> int:
     return (left << kappa) | right
 
 
-def _unpermute(key: NtcfPublicKey | NtcfSecretKey, y: int) -> int:
+def _unpermute(key: NtcfKey, y: int) -> int:
     kappa = key.kappa
     left, right = y >> kappa, y & ((1 << kappa) - 1)
     for rnd in reversed(range(_ROUNDS)):
@@ -98,13 +90,12 @@ def keygen(kappa: int, rng: Random) -> NtcfKeyMaterial:
     """Sample a permutation seed and a nonzero hidden shift."""
     if kappa < 2:
         raise ValueError("kappa must be >= 2 (shift space degenerate below that)")
-    perm_seed = rng.randbytes(32)
-    shift = Bits(rng.randrange(1, 1 << kappa), kappa)
-    pk = NtcfPublicKey(kappa, perm_seed, shift, prf_key(perm_seed), {})
-    return NtcfKeyMaterial(pk, NtcfSecretKey(*pk))  # one blake2b state and one round memo
+    perm_seed = rng.randbytes(32)  # drawn before the shift, as the golden digests pin
+    key = NtcfKey(kappa, Bits(rng.randrange(1, 1 << kappa), kappa), prf_key(perm_seed), {})
+    return NtcfKeyMaterial(key, key)
 
 
-def eval_claw(pk: NtcfPublicKey, rng: Random) -> ClawResult:
+def eval_claw(pk: NtcfKey, rng: Random) -> ClawResult:
     """Honest post-measurement result of evaluating f on a uniform superposition.
 
     Measuring the image register of sum_x |b, x, f(b,x)> yields a uniform
@@ -118,7 +109,7 @@ def eval_claw(pk: NtcfPublicKey, rng: Random) -> ClawResult:
     return ClawResult(y=y, x0=Bits(u, kappa), x1=Bits(u ^ pk.shift.value, kappa))
 
 
-def dec(sk: NtcfSecretKey, b: int, y: Bits) -> Bits | None:
+def dec(sk: NtcfKey, b: int, y: Bits) -> Bits | None:
     """Trapdoor decode of branch b's preimage; None marks an invalid image."""
     kappa = sk.kappa
     if y.width != 2 * kappa:
@@ -130,13 +121,13 @@ def dec(sk: NtcfSecretKey, b: int, y: Bits) -> Bits | None:
     return claw_partner(sk, x) if b else x
 
 
-def claw_partner(sk: NtcfSecretKey, x: Bits) -> Bits:
+def claw_partner(sk: NtcfKey, x: Bits) -> Bits:
     """The other preimage of x's image: claws are exactly (x, x XOR s), so
     claw_partner(sk, dec(sk, 0, y)) == dec(sk, 1, y) for every valid y."""
     return Bits(x.value ^ sk.shift.value, x.width)
 
 
-def chk(pk: NtcfPublicKey, b: int, x: Bits, y: Bits) -> bool:
+def chk(pk: NtcfKey, b: int, x: Bits, y: Bits) -> bool:
     """Public check predicate: true exactly when dec(sk, b, y) = x."""
     kappa = pk.kappa
     if x.width != kappa or y.width != 2 * kappa:

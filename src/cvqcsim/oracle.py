@@ -87,10 +87,6 @@ class RandomOracle:
         return hit
 
 
-def query(oracle: RandomOracle, inp: tuple[int, int], out_len: int) -> int:
-    return oracle.query(inp, out_len)
-
-
 def fresh_pad(rng: Random, kappa: int) -> Bits:
     """Uniform kappa-bit pad from the session RNG (client side of Hadamard tests)."""
     return Bits(rng.getrandbits(kappa) if kappa else 0, kappa)

@@ -22,14 +22,18 @@ which).  A session:
    comp rounds) the client's target phases next to whatever state the server
    decoded, ready for a fidelity check upstream.
 
-All client randomness comes from ``client_rng`` and all server randomness
-from the session's own stream, each seeded independently from the session
-master seed — so a session is a pure function of (strategy, seed), which is
-what makes transcript replay byte-exact.
+All client randomness comes from the session's client stream and all server
+randomness from the server's own stream, each seeded independently from the
+session master seed — so a session is a pure function of (strategy, seed),
+which is what makes transcript replay byte-exact.
 
-The sub-round functions are module-level and take their dependencies
-explicitly, so tests can drive a single round shape directly (e.g. hammer
-the Hadamard test with a fixed delta) without fighting the dispatcher.
+What the sub-rounds share (server, transcript, oracle, client stream, sizes,
+and the client's keys and phases) lives on one ``ClientSession``.
+``open_session`` is the only place that derives the oracle, client and server
+streams from a seed.  Each sub-round is a module-level function of the session
+plus its own round arguments, so tests can open a session, run ``run_setup``
+and drive a single round shape directly (e.g. hammer the Hadamard test with a
+fixed delta) without fighting the dispatcher.
 
 Per-gadget payloads are built only when recording; bulk runs pass the
 non-recording ``NULL_TRANSCRIPT``.  ``to_jsonl`` writes ``json.dumps``'s bytes
@@ -46,7 +50,7 @@ from .adversary import HELPER, ServerSession, Strategy
 from .bits import Bits
 from .gadget import KeyPair, PhasePair, PlusStateVector, TableMismatch, fidelity_ideal
 from .ntcf import claw_partner, dec, eval_claw, keygen
-from .oracle import RandomOracle, fresh_pad, query
+from .oracle import RandomOracle, fresh_pad
 from .tables import TagCollision, make_combine_table, make_phase_table, table_payload
 
 ROUND_TYPES = ("test", "prep:stdb", "prep:coph", "prep:inph", "prep:bn", "comp")
@@ -58,13 +62,14 @@ _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def check_size(L: int, kappa: int) -> None:
-    """Reject session sizes the protocol is undefined for: no output gadget
-    (L < 1; the branch-number test would redraw an empty subset forever) or
-    a degenerate shift space (kappa < 2)."""
+    """Reject session sizes the protocol is undefined or unreliable for: no
+    output gadget (L < 1; the branch-number test would redraw an empty subset
+    forever) or kappa < 4 (below that, table building often finds no
+    collision-free table)."""
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    if kappa < 2:
-        raise ValueError(f"kappa must be >= 2, got {kappa}")
+    if kappa < 4:
+        raise ValueError(f"kappa must be >= 4, got {kappa}")
 
 
 class Transcript:
@@ -93,12 +98,34 @@ class Transcript:
 NULL_TRANSCRIPT = Transcript(recording=False)  # shared sink for bulk runs
 
 
-@dataclass
-class ClientSecrets:
+@dataclass(slots=True)
+class ClientSession:
+    """One session's shared state: the server, the transcript, the oracle,
+    the client's random stream and sizes, the client's key pairs per block
+    (filled in by ``run_setup``) and branch phases (``run_add_phase``)."""
+
+    server: ServerSession
+    tr: Transcript
+    oracle: RandomOracle
+    rng: Random
     kappa: int
     L: int
     keys: dict[int, KeyPair] = field(default_factory=dict)
     thetas: dict[int, PhasePair] = field(default_factory=dict)
+
+
+def open_session(
+    strategy: Strategy, seed, kappa: int, L: int, tr: Transcript = NULL_TRANSCRIPT
+) -> ClientSession:
+    """Derive the oracle, client and server streams from `seed` and start
+    the server; sizes are not checked (``run_pre_rspv`` does that)."""
+    if not isinstance(seed, (type(None), int, float, str, bytes, bytearray)):
+        seed = repr(seed)  # hash-based Random seeding is deprecated; stringify
+    master = Random(seed)
+    oracle = RandomOracle(master.randbytes(32))
+    client_rng = Random(master.randbytes(32))
+    server_rng = Random(master.randbytes(32))
+    return ClientSession(strategy.begin(oracle, server_rng, kappa), tr, oracle, client_rng, kappa, L)
 
 
 @dataclass(frozen=True)
@@ -123,44 +150,37 @@ class SessionOutcome:
     transcript: Transcript | None = None
 
 
-def run_setup(
-    session: ServerSession,
-    tr: Transcript,
-    client_rng: Random,
-    server_rng: Random,
-    kappa: int,
-    L: int,
-) -> ClientSecrets | None:
-    """Key generation + server state preparation for helper, 0, 1..L.
+def run_setup(s: ClientSession) -> bool:
+    """Key generation + server state preparation for helper, 0, 1..L; False
+    when an image does not invert.
 
     The claw-free keys double as their own trapdoor in this mock, so the
     transcript records only block indices and images, not key material.
     The shift is nonzero, so the two preimages always differ.
     """
-    secrets = ClientSecrets(kappa, L)
-    for idx in (HELPER, *range(L + 1)):
-        km = keygen(kappa, client_rng)
+    server, tr, rng, kappa = s.server, s.tr, s.rng, s.kappa
+    for idx in (HELPER, *range(s.L + 1)):
+        km = keygen(kappa, rng)
         if tr.recording:
             tr.say("client", "setup.block", {"idx": idx, "kappa": kappa})
-        claw = eval_claw(km.pk, server_rng)
-        y = session.setup_block(idx, claw)
+        claw = eval_claw(km.pk, server.rng)
+        y = server.setup_block(idx, claw)
         if tr.recording:
             tr.say("server", "setup.y", {"idx": idx, "y": y.token()})
         x0 = dec(km.sk, 0, y)
         if x0 is None:
-            return None
-        secrets.keys[idx] = KeyPair(x0, claw_partner(km.sk, x0))
-    return secrets
+            return False
+        s.keys[idx] = KeyPair(x0, claw_partner(km.sk, x0))
+    return True
 
 
-def run_stdb_test(
-    keys: dict[int, KeyPair], session: ServerSession, tr: Transcript, indices: list[int]
-) -> bool:
+def run_stdb_test(s: ClientSession, keys: dict[int, KeyPair], indices: list[int]) -> bool:
     """Standard-basis check: every reported string must be a key of its
     index's pair in `keys`."""
+    tr = s.tr
     if tr.recording:
         tr.say("client", "measure.std", {"idx": indices})
-    resp = session.respond_std(indices)
+    resp = s.server.respond_std(indices)
     if tr.recording:
         tr.say("server", "reply.std", {"values": [b.token() for b in resp]})
     if len(resp) != len(indices):
@@ -169,15 +189,7 @@ def run_stdb_test(
 
 
 def run_hadamard_test(
-    session: ServerSession,
-    tr: Transcript,
-    oracle: RandomOracle,
-    client_rng: Random,
-    idx: int,
-    keys: KeyPair,
-    kappa: int,
-    phases: PhasePair | None,
-    delta: int | None,
+    s: ClientSession, idx: int, keys: KeyPair, phases: PhasePair | None, delta: int | None
 ) -> tuple[bool, int | None]:
     """Padded Hadamard test on one (possibly combined) gadget.
 
@@ -188,32 +200,27 @@ def run_hadamard_test(
     the keys, so it proves nothing — honest probability exactly 2^-kappa);
     parity is d . (w0 xor w1), which callers compare against delta.
     """
+    server, tr, kappa = s.server, s.tr, s.kappa
     if phases is not None:
         v = (phases.theta1 - phases.theta0 - (delta or 0)) % 8
         if tr.recording:
             tr.say("client", "reveal.phase", {"idx": idx, "v": v})
-        session.dephase_reveal(idx, v)
-    pad = fresh_pad(client_rng, kappa)
+        server.dephase_reveal(idx, v)
+    pad = fresh_pad(s.rng, kappa)
     if tr.recording:
         tr.say("client", "hadamard.pad", {"idx": idx, "pad": pad.token()})
-    d = session.respond_hadamard(idx, pad)
+    d = server.respond_hadamard(idx, pad)
     if tr.recording:
         tr.say("server", "reply.hadamard", {"idx": idx, "d": d.token()})
     if d.width != keys.x0.width + kappa or d.suffix(kappa).is_zero:
         return False, None
     x0, x1 = keys
-    h0 = query(oracle, pad.concat(x0), kappa)
-    h1 = query(oracle, pad.concat(x1), kappa)
+    h0 = s.oracle.query(pad.concat(x0), kappa)
+    h1 = s.oracle.query(pad.concat(x1), kappa)
     return True, d.parity_with(Bits(((x0.value ^ x1.value) << kappa) | (h0 ^ h1), d.width))
 
 
-def run_add_phase(
-    secrets: ClientSecrets,
-    session: ServerSession,
-    tr: Transcript,
-    oracle: RandomOracle,
-    client_rng: Random,
-) -> bool:
+def run_add_phase(s: ClientSession) -> bool:
     """Inject a fresh uniform phase on gadgets 0..L, then burn the helper.
 
     Each phase rides in a lookup table keyed helper-branch || gadget-branch;
@@ -222,53 +229,42 @@ def run_add_phase(
     test, which passes deterministically iff the helper really was held as a
     superposition over both keys (up to the 2^-kappa suffix event).
     """
-    kappa = secrets.kappa
-    for i in range(secrets.L + 1):
-        theta = client_rng.randrange(8)
-        secrets.thetas[i] = PhasePair(0, theta)
-        table = make_phase_table(
-            secrets.keys[HELPER], secrets.keys[i], (0, theta), kappa, oracle, client_rng
-        )
+    server, tr, oracle, rng, kappa, keys = s.server, s.tr, s.oracle, s.rng, s.kappa, s.keys
+    helper = keys[HELPER]
+    for i in range(s.L + 1):
+        theta = rng.randrange(8)
+        s.thetas[i] = PhasePair(0, theta)
+        table = make_phase_table(helper, keys[i], (0, theta), kappa, oracle, rng)
         if tr.recording:
             tr.say("client", "phase.table", {"idx": i, "table": table_payload(table)})
-        session.receive_phase_table(i, table)
-    ok, parity = run_hadamard_test(
-        session, tr, oracle, client_rng, HELPER, secrets.keys[HELPER], kappa, None, None
-    )
+        server.receive_phase_table(i, table)
+    ok, parity = run_hadamard_test(s, HELPER, helper, None, None)
     return ok and parity == 0
 
 
-def _fold(
-    secrets: ClientSecrets,
-    session: ServerSession,
-    tr: Transcript,
-    oracle: RandomOracle,
-    client_rng: Random,
-    base: int,
-    others: list[int],
-) -> tuple[KeyPair, PhasePair] | None:
+def _fold(s: ClientSession, base: int, others: list[int]) -> tuple[KeyPair, PhasePair] | None:
     """Combine `others` into `base` one at a time, tracking the client-side
     key pair and branch phases of the merged gadget.  Tables are keyed on the
     base gadget's original keys (the first kappa bits of the merged register)
     crossed with the incoming gadget's keys; the server's reply says which
     pairing survived.  Returns None as soon as a reply is off-table."""
-    kappa = secrets.kappa
-    kk = secrets.keys[base]
-    tt = secrets.thetas[base]
+    server, tr, oracle, rng, kappa, keys, thetas = (
+        s.server, s.tr, s.oracle, s.rng, s.kappa, s.keys, s.thetas
+    )
+    kb = kk = keys[base]
+    tt = thetas[base]
     for i in others:
-        r0 = (client_rng.getrandbits(kappa), kappa)
-        r1 = (client_rng.getrandbits(kappa), kappa)
+        r0 = (rng.getrandbits(kappa), kappa)
+        r1 = (rng.getrandbits(kappa), kappa)
         while r1 == r0:
-            r1 = (client_rng.getrandbits(kappa), kappa)
-        table = make_combine_table(
-            secrets.keys[base], secrets.keys[i], r0, r1, kappa, oracle, client_rng
-        )
+            r1 = (rng.getrandbits(kappa), kappa)
+        ki, ti = keys[i], thetas[i]
+        table = make_combine_table(kb, ki, r0, r1, kappa, oracle, rng)
         if tr.recording:
             tr.say("client", "combine.table", {"base": base, "other": i, "table": table_payload(table)})
-        r = session.respond_combine(base, i, table)
+        r = server.respond_combine(base, i, table)
         if tr.recording:
             tr.say("server", "reply.combine", {"r": r.token()})
-        ki, ti = secrets.keys[i], secrets.thetas[i]
         if r == r0:
             kk = KeyPair(kk.x0.concat(ki.x0), kk.x1.concat(ki.x1))
             tt = PhasePair((tt.theta0 + ti.theta0) % 8, (tt.theta1 + ti.theta1) % 8)
@@ -280,57 +276,28 @@ def _fold(
     return kk, tt
 
 
-def _coin_check(
-    secrets: ClientSecrets,
-    session: ServerSession,
-    tr: Transcript,
-    oracle: RandomOracle,
-    client_rng: Random,
-    base: int,
-    kk: KeyPair,
-    tt: PhasePair,
-    force_coin: str | None,
-) -> bool:
+def _coin_check(s: ClientSession, base: int, kk: KeyPair, tt: PhasePair, force_coin: str | None) -> bool:
     """Final coin on a folded gadget: standard-basis key check, or a phased
     Hadamard test with a blinding delta in {0,4}."""
-    coin = "std" if client_rng.random() < 0.5 else "had"
+    coin = "std" if s.rng.random() < 0.5 else "had"
     if force_coin is not None:
         coin = force_coin
     if coin == "std":
-        return run_stdb_test({base: kk}, session, tr, [base])
-    delta = client_rng.choice((0, 4))
-    ok, parity = run_hadamard_test(
-        session, tr, oracle, client_rng, base, kk, secrets.kappa, tt, delta
-    )
+        return run_stdb_test(s, {base: kk}, [base])
+    delta = s.rng.choice((0, 4))
+    ok, parity = run_hadamard_test(s, base, kk, tt, delta)
     return ok and parity == (1 if delta == 4 else 0)
 
 
-def run_coph_test(
-    secrets: ClientSecrets,
-    session: ServerSession,
-    tr: Transcript,
-    oracle: RandomOracle,
-    client_rng: Random,
-    force_coin: str | None = None,
-) -> bool:
+def run_coph_test(s: ClientSession, force_coin: str | None = None) -> bool:
     """Coherence test: fold every gadget into gadget 0, then flip the coin."""
-    folded = _fold(
-        secrets, session, tr, oracle, client_rng, 0, list(range(1, secrets.L + 1))
-    )
+    folded = _fold(s, 0, list(range(1, s.L + 1)))
     if folded is None:
         return False
-    kk, tt = folded
-    return _coin_check(secrets, session, tr, oracle, client_rng, 0, kk, tt, force_coin)
+    return _coin_check(s, 0, *folded, force_coin)
 
 
-def run_inph_test(
-    secrets: ClientSecrets,
-    session: ServerSession,
-    tr: Transcript,
-    oracle: RandomOracle,
-    client_rng: Random,
-    force_delta: int | None = None,
-) -> tuple[bool, bool, int]:
+def run_inph_test(s: ClientSession, force_delta: int | None = None) -> tuple[bool, bool, int]:
     """In-phase round on gadget 0 — the only scored round.
 
     delta is drawn uniformly from {0, 4, 1} and hidden inside the revealed
@@ -340,20 +307,10 @@ def run_inph_test(
     cos^2(pi/8), and that event is the quiz win (score).  Returns
     (flag, score, delta).
     """
-    delta = client_rng.choice((0, 4, 1))
+    delta = s.rng.choice((0, 4, 1))
     if force_delta is not None:
         delta = force_delta
-    ok, parity = run_hadamard_test(
-        session,
-        tr,
-        oracle,
-        client_rng,
-        0,
-        secrets.keys[0],
-        secrets.kappa,
-        secrets.thetas[0],
-        delta,
-    )
+    ok, parity = run_hadamard_test(s, 0, s.keys[0], s.thetas[0], delta)
     if not ok:
         return False, False, delta
     if delta == 1:
@@ -361,14 +318,7 @@ def run_inph_test(
     return parity == (1 if delta == 4 else 0), False, delta
 
 
-def run_bn_test(
-    secrets: ClientSecrets,
-    session: ServerSession,
-    tr: Transcript,
-    oracle: RandomOracle,
-    client_rng: Random,
-    force_coin: str | None = None,
-) -> bool:
+def run_bn_test(s: ClientSession, force_coin: str | None = None) -> bool:
     """Branch-number test over the output gadgets.
 
     The client reveals each output gadget's relative phase (no blinding —
@@ -380,57 +330,46 @@ def run_bn_test(
     collapsed by the complement check, after which the Hadamard coin is a
     fair-coin fail.
     """
-    L = secrets.L
+    L, tr, rng, thetas = s.L, s.tr, s.rng, s.thetas
     for i in range(1, L + 1):
-        t = secrets.thetas[i]
+        t = thetas[i]
         v = (t.theta1 - t.theta0) % 8
         if tr.recording:
             tr.say("client", "reveal.phase", {"idx": i, "v": v})
-        session.dephase_reveal(i, v)
-        secrets.thetas[i] = PhasePair(t.theta0, t.theta0)
+        s.server.dephase_reveal(i, v)
+        thetas[i] = PhasePair(t.theta0, t.theta0)
     while True:
-        subset = [i for i in range(1, L + 1) if client_rng.random() < 0.5]
+        subset = [i for i in range(1, L + 1) if rng.random() < 0.5]
         if subset:
             break
     base = subset[0]
-    folded = _fold(secrets, session, tr, oracle, client_rng, base, subset[1:])
+    folded = _fold(s, base, subset[1:])
     if folded is None:
         return False
-    kk, tt = folded
     chosen = set(subset)
     complement = [0] + [i for i in range(1, L + 1) if i not in chosen]
-    if not run_stdb_test(secrets.keys, session, tr, complement):
+    if not run_stdb_test(s, s.keys, complement):
         return False
-    return _coin_check(secrets, session, tr, oracle, client_rng, base, kk, tt, force_coin)
+    return _coin_check(s, base, *folded, force_coin)
 
 
-def run_comp_round(
-    secrets: ClientSecrets, session: ServerSession, tr: Transcript
-) -> tuple[bool, CompOutputs]:
+def run_comp_round(s: ClientSession) -> tuple[bool, CompOutputs]:
     """Computation round: burn the test gadget, then reveal every output
     gadget's key pair so the server can decode its qubits into the clear."""
-    flag = run_stdb_test(secrets.keys, session, tr, [0])
-    indices = list(range(1, secrets.L + 1))
-    revealed = [secrets.keys[i] for i in indices]
+    tr = s.tr
+    flag = run_stdb_test(s, s.keys, [0])
+    indices = list(range(1, s.L + 1))
+    revealed = [s.keys[i] for i in indices]
     if tr.recording:
-        tr.say(
-            "client",
-            "comp.reveal",
-            {"idx": indices, "keys": [[k.x0.token(), k.x1.token()] for k in revealed]},
-        )
-    out = session.decode_outputs(indices, revealed)
-    client_thetas = tuple(
-        (secrets.thetas[i].theta1 - secrets.thetas[i].theta0) % 8 for i in indices
-    )
+        tokens = [[k.x0.token(), k.x1.token()] for k in revealed]
+        tr.say("client", "comp.reveal", {"idx": indices, "keys": tokens})
+    out = s.server.decode_outputs(indices, revealed)
+    client_thetas = tuple((s.thetas[i].theta1 - s.thetas[i].theta0) % 8 for i in indices)
     if out is None:
         tr.say("server", "comp.state", {"decoded": None})
         return flag, CompOutputs(client_thetas, None, None)
     state, phase = out
-    tr.say(
-        "server",
-        "comp.state",
-        {"decoded": list(state.thetas), "phase": [phase.real, phase.imag]},
-    )
+    tr.say("server", "comp.state", {"decoded": list(state.thetas), "phase": [phase.real, phase.imag]})
     return flag, CompOutputs(client_thetas, state, phase)
 
 
@@ -448,20 +387,14 @@ def run_pre_rspv(
 
     `force_plan` / `force_coin` pin the dispatch for instrumented runs; the
     natural coins are still drawn first so the client RNG stream stays
-    aligned with unforced sessions.  Raises ValueError on L < 1 or kappa < 2.
+    aligned with unforced sessions.  Raises ValueError on L < 1 or kappa < 4.
     """
     check_size(L, kappa)
-    if not isinstance(seed, (type(None), int, float, str, bytes, bytearray)):
-        seed = repr(seed)  # hash-based Random seeding is deprecated; stringify
-    master = Random(seed)
-    oracle = RandomOracle(master.randbytes(32))
-    client_rng = Random(master.randbytes(32))
-    server_rng = Random(master.randbytes(32))
-    session = strategy.begin(oracle, server_rng, kappa)
-    tr = Transcript() if collect_transcript else NULL_TRANSCRIPT
+    s = open_session(strategy, seed, kappa, L, Transcript() if collect_transcript else NULL_TRANSCRIPT)
+    tr = s.tr
 
-    bare_test = client_rng.random() < 0.5
-    sub = client_rng.randrange(5)
+    bare_test = s.rng.random() < 0.5
+    sub = s.rng.randrange(5)
     plan = "test" if bare_test else _PREP_MENU[sub]
     if force_plan is not None:
         if force_plan not in ROUND_TYPES:
@@ -478,31 +411,26 @@ def run_pre_rspv(
     # setup image that still inverted) can hit undecryptable tables and give
     # up mid-round; that is a failed session, not a simulator error.
     try:
-        secrets = run_setup(session, tr, client_rng, server_rng, kappa, L)
-        if secrets is not None:
+        if run_setup(s):
             if plan == "test":
-                flag = run_stdb_test(secrets.keys, session, tr, [HELPER, *range(L + 1)])
-            elif not run_add_phase(secrets, session, tr, oracle, client_rng):
+                flag = run_stdb_test(s, s.keys, [HELPER, *range(L + 1)])
+            elif not run_add_phase(s):
                 flag = False  # helper check failed; planned round type stands
             elif plan == "prep:stdb":
-                flag = run_stdb_test(secrets.keys, session, tr, list(range(L + 1)))
+                flag = run_stdb_test(s, s.keys, list(range(L + 1)))
             elif plan == "prep:coph":
-                flag = run_coph_test(secrets, session, tr, oracle, client_rng, force_coin)
+                flag = run_coph_test(s, force_coin)
             elif plan == "prep:inph":
-                flag, score, quiz_delta = run_inph_test(secrets, session, tr, oracle, client_rng)
+                flag, score, quiz_delta = run_inph_test(s)
             elif plan == "prep:bn":
-                flag = run_bn_test(secrets, session, tr, oracle, client_rng, force_coin)
+                flag = run_bn_test(s, force_coin)
             else:
-                flag, outputs = run_comp_round(secrets, session, tr)
+                flag, outputs = run_comp_round(s)
     except (TableMismatch, TagCollision):
         flag = False
         tr.say("server", "abort", {})
 
-    tr.say(
-        "client",
-        "session.outcome",
-        {"type": plan, "flag": flag, "score": score, "quiz_delta": quiz_delta},
-    )
+    tr.say("client", "session.outcome", {"type": plan, "flag": flag, "score": score, "quiz_delta": quiz_delta})
     return SessionOutcome(
         round_type=plan,
         flag=flag,

@@ -27,7 +27,7 @@ from cvqcsim.gadget import (
 from cvqcsim.harness import estimate_rates, scaling_bench
 from cvqcsim.oracle import RandomOracle
 from cvqcsim.protocol import (
-    NULL_TRANSCRIPT,
+    open_session,
     run_add_phase,
     run_bn_test,
     run_coph_test,
@@ -43,18 +43,6 @@ pytestmark = pytest.mark.acceptance
 def dispatch_report():
     # shared 10^5-session honest run for criteria 1 and 2
     return estimate_rates(8, 16, 100_000, adv.honest(), b"acceptance-criteria-1-2")
-
-
-def _open_session(strategy, seed, kappa, L):
-    """Mirror of run_pre_rspv's session bring-up for sub-round driving."""
-    master = Random(seed)
-    oracle = RandomOracle(master.randbytes(32))
-    client_rng = Random(master.randbytes(32))
-    server_rng = Random(master.randbytes(32))
-    session = strategy.begin(oracle, server_rng, kappa)
-    secrets = run_setup(session, NULL_TRANSCRIPT, client_rng, server_rng, kappa, L)
-    assert secrets is not None
-    return session, secrets, oracle, client_rng
 
 
 def test_accept_01_honest_quiz_win_rate(dispatch_report):
@@ -136,28 +124,17 @@ def test_accept_05_honest_one_sided_error():
     strat = adv.honest()
 
     def trial(variant, i):
-        session, secrets, oracle, client_rng = _open_session(
-            strat, f"accept5-{variant}-{i}", kappa, L
-        )
-        if not run_add_phase(secrets, session, NULL_TRANSCRIPT, oracle, client_rng):
+        s = open_session(strat, f"accept5-{variant}-{i}", kappa, L)
+        assert run_setup(s)
+        if not run_add_phase(s):
             return None  # helper suffix event, not the branch under test
         if variant == "delta0":
-            flag, _, _ = run_inph_test(
-                secrets, session, NULL_TRANSCRIPT, oracle, client_rng, force_delta=0
-            )
-            return flag
+            return run_inph_test(s, force_delta=0)[0]
         if variant == "delta4":
-            flag, _, _ = run_inph_test(
-                secrets, session, NULL_TRANSCRIPT, oracle, client_rng, force_delta=4
-            )
-            return flag
+            return run_inph_test(s, force_delta=4)[0]
         if variant == "coph":
-            return run_coph_test(
-                secrets, session, NULL_TRANSCRIPT, oracle, client_rng, force_coin="had"
-            )
-        return run_bn_test(
-            secrets, session, NULL_TRANSCRIPT, oracle, client_rng, force_coin="had"
-        )
+            return run_coph_test(s, force_coin="had")
+        return run_bn_test(s, force_coin="had")
 
     parts = []
     for variant in ("delta0", "delta4", "coph", "bn"):

@@ -197,6 +197,18 @@ def test_ghz_passes_everything_but_bn():
     assert fails / n < 0.01  # honest-level residue only
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["honest", "conjugate", "random_response", "always_lose", "corrupt_setup", "ghz_collapse",
+     {"attack": "phase_offset", "g": "bump:3"}],
+    ids=lambda spec: spec if isinstance(spec, str) else "phase_offset",
+)
+def test_every_strategy_finishes_a_bn_round_at_large_L(spec):
+    # the GHZ merge of L output gadgets used to underflow to a zero norm from L ~ 1080
+    out = run_pre_rspv(parse_strategy(spec), "bn-large-L", kappa=8, L=1100, force_plan="prep:bn")
+    assert out.round_type == "prep:bn"
+
+
 def test_ghz_bn_hadamard_coin_is_a_fair_coin():
     # L=3: P[I = all] = 1/7; otherwise the complement check collapses the
     # merged register and the Hadamard outcome carries no key equation.

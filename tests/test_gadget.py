@@ -16,7 +16,6 @@ from cvqcsim.gadget import (
     PlusStateVector,
     TableMismatch,
     combine_step,
-    conjugate,
     decode_output,
     dephase,
     enumerate_hadamard_distribution,
@@ -359,20 +358,6 @@ class TestDecodeAndFidelity:
 
 
 class TestConjugation:
-    def test_real_amplitudes_fixed(self):
-        g = make_gadget(_pair(random.Random(31), 8), PhasePair(0, 4))
-        assert conjugate(g) == g
-
-    def test_negates_relative_phase(self):
-        k = _pair(random.Random(32), 8)
-        g = conjugate(make_gadget(k, PhasePair(0, 3)))
-        want = make_gadget(k, PhasePair(0, 5))
-        assert g.amp1 == want.amp1 and g.amp0 == want.amp0
-
-    def test_involution(self):
-        g = make_gadget(_pair(random.Random(33), 8), PhasePair(1, 6))
-        assert conjugate(conjugate(g)) == g
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 999))
     def test_observable_distributions_identical(self, t0, t1, salt):
@@ -383,7 +368,7 @@ class TestConjugation:
         keys = _pair(rng, 3)
         pad = Bits(rng.getrandbits(3), 3)
         g = make_gadget(keys, PhasePair(t0, t1))
-        cg = conjugate(g)
+        cg = Gadget(g.keys, g.amp0.conjugate(), g.amp1.conjugate())
         assert parity_probs(g) == parity_probs(cg)
         assert g.norm_sq == cg.norm_sq
         assert sampler_distribution(g, pad, o, 3) == sampler_distribution(cg, pad, o, 3)

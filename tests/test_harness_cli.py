@@ -118,7 +118,7 @@ def test_estimate_rates_rejects_empty_run():
         estimate_rates(1, 8, 0, adv.honest(), 1)
 
 
-@pytest.mark.parametrize("L, kappa, sessions", [(0, 8, 10), (-1, 8, 10), (2, 1, 10), (2, 8, 0)])
+@pytest.mark.parametrize("L, kappa, sessions", [(0, 8, 10), (-1, 8, 10), (2, 1, 10), (2, 3, 10), (2, 8, 0)])
 def test_estimate_rates_rejects_degenerate_sizes(L, kappa, sessions):
     with pytest.raises(ValueError):
         estimate_rates(L, kappa, sessions, adv.honest(), 1, force_plan="prep:bn")
@@ -184,6 +184,7 @@ def _cli_error(argv, capsys) -> str:
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys):
     assert "sessions" in _cli_error(["stats", "--sessions", "0", "--kappa", "6"], capsys)
     assert "kappa" in _cli_error(["stats", "--kappa", "1", "--sessions", "5"], capsys)
+    assert "kappa" in _cli_error(["stats", "--kappa", "3", "--sessions", "5"], capsys)
     assert "L must be" in _cli_error(["run", "--L", "0", "--force-plan", "prep:bn"], capsys)
     assert "L must be" in _cli_error(["run", "--L", "-1"], capsys)
     _cli_error(["amplify", "--config", str(tmp_path / "missing.json")], capsys)

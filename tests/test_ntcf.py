@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from cvqcsim.bits import Bits
-from cvqcsim.ntcf import ClawResult, chk, dec, eval_claw, keygen
+from cvqcsim.ntcf import ClawResult, _permute, chk, dec, eval_claw, keygen
 
 
 class TestKeygen:
@@ -15,7 +15,7 @@ class TestKeygen:
     def test_different_seeds_different_trapdoors(self):
         a = keygen(8, random.Random(1))
         b = keygen(8, random.Random(2))
-        assert (a.sk.shift, a.sk.perm_seed) != (b.sk.shift, b.sk.perm_seed)
+        assert (a.sk.shift, _permute(a.sk, 1)) != (b.sk.shift, _permute(b.sk, 1))
 
     def test_shift_nonzero(self):
         for seed in range(50):
@@ -120,8 +120,6 @@ class TestChk:
 
 def test_every_image_has_exactly_two_preimages():
     # exhaustive 2-to-1 check at kappa=6: f(b, x) over all (b, x)
-    from cvqcsim.ntcf import _permute
-
     km = keygen(6, random.Random(20))
     hits: dict[int, set[tuple[int, int]]] = {}
     for b in (0, 1):

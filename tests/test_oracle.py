@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cvqcsim.bits import Bits
-from cvqcsim.oracle import RandomOracle, _stream_bits, derive_seed, fresh_pad, query
+from cvqcsim.oracle import RandomOracle, _stream_bits, derive_seed, fresh_pad
 
 SEED_A = bytes(range(32))
 SEED_B = bytes(range(1, 33))
@@ -14,26 +14,26 @@ class TestQuery:
     def test_deterministic(self):
         o1, o2 = RandomOracle(SEED_A), RandomOracle(SEED_A)
         x = Bits(0b1011, 4)
-        assert query(o1, x, 8) == query(o2, x, 8) == query(o1, x, 8)
+        assert o1.query(x, 8) == o2.query(x, 8) == o1.query(x, 8)
 
     def test_seed_matters(self):
         x = Bits(0xDEAD, 16)
-        assert query(RandomOracle(SEED_A), x, 64) != query(RandomOracle(SEED_B), x, 64)
+        assert RandomOracle(SEED_A).query(x, 64) != RandomOracle(SEED_B).query(x, 64)
 
     def test_prefix_consistency(self):
         # each entry behaves like one long lazy random string
         o = RandomOracle(SEED_A)
         x = Bits(0xABCD, 16)
-        long = query(o, x, 200)
+        long = o.query(x, 200)
         for n in (1, 3, 64, 128, 199):
-            assert query(RandomOracle(SEED_A), x, n) == long >> (200 - n)
+            assert RandomOracle(SEED_A).query(x, n) == long >> (200 - n)
 
     def test_prefix_consistency_across_blocks(self):
         # outputs past one 512-bit block chain counter-mode blocks
         x = Bits(0x89ABCDEF, 32)
-        long = query(RandomOracle(SEED_A), x, 600)
+        long = RandomOracle(SEED_A).query(x, 600)
         for n in (511, 512, 513, 599):
-            assert query(RandomOracle(SEED_A), x, n) == long >> (600 - n)
+            assert RandomOracle(SEED_A).query(x, n) == long >> (600 - n)
 
     def test_stream_framing(self):
         # block ctr = blake2b_seed(4-byte width || value bytes || 4-byte ctr)
@@ -45,28 +45,28 @@ class TestQuery:
         )
         ref = int.from_bytes(raw, "big")
         for n in (16, 512, 513, 1024, 1025, 1600):
-            assert query(RandomOracle(SEED_A), x, n) == ref >> (8 * len(raw) - n)
+            assert RandomOracle(SEED_A).query(x, n) == ref >> (8 * len(raw) - n)
 
     def test_memo_key_separates_width_and_length(self):
         # the memo key packs (value, width, out_len) into one int
         o = RandomOracle(SEED_A)
         triples = ((1, 8, 16), (1, 16, 8), (1, 9, 16))
         for value, width, out_len in triples:
-            assert query(o, (value, width), out_len) == _stream_bits(o.keyed, (value, width), out_len)
+            assert o.query((value, width), out_len) == _stream_bits(o.keyed, (value, width), out_len)
         assert len(o.cache) == len(triples)
         for width, out_len in ((1 << 32, 8), (8, 1 << 32), (1 << 40, 1 << 33)):
             with pytest.raises(ValueError):
-                query(o, (1, width), out_len)
+                o.query((1, width), out_len)
         assert len(o.cache) == len(triples)
 
     def test_length_bound(self):
         o = RandomOracle(SEED_A)
         x = Bits(0b101, 3)
-        assert 0 <= query(o, x, 9) < 1 << 9
+        assert 0 <= o.query(x, 9) < 1 << 9
         with pytest.raises(ValueError):
-            query(o, x, 10)  # > |input|^2
+            o.query(x, 10)  # > |input|^2
         with pytest.raises(ValueError):
-            query(o, x, 0)
+            o.query(x, 0)
 
     def test_single_bit_flip_decorrelates(self):
         # outputs of neighbouring inputs agree on ~50% of bits (4-sigma band)
@@ -76,7 +76,7 @@ class TestQuery:
         for _ in range(400):
             x = Bits(rng.getrandbits(16), 16)
             y = Bits(x.value ^ (1 << rng.randrange(16)), 16)
-            diff = query(o, x, 25) ^ query(o, y, 25)
+            diff = o.query(x, 25) ^ o.query(y, 25)
             agree += 25 - diff.bit_count()
             total += 25
         mean, sigma = total / 2, (total * 0.25) ** 0.5

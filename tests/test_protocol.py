@@ -3,7 +3,6 @@ sub-round semantics, and white-box checks that the client's bookkeeping stays
 in lockstep with an honest server's state."""
 
 import json
-from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +11,12 @@ from hypothesis import strategies as st
 import cvqcsim.adversary as adv
 from cvqcsim.adversary import HELPER
 from cvqcsim.gadget import ROOT8, COS2_TABLE
-from cvqcsim.oracle import RandomOracle
 from cvqcsim.protocol import (
     NULL_TRANSCRIPT,
     ROUND_TYPES,
     Transcript,
     _fold,
+    open_session,
     run_add_phase,
     run_bn_test,
     run_comp_round,
@@ -26,23 +25,6 @@ from cvqcsim.protocol import (
     run_pre_rspv,
     run_setup,
 )
-
-
-def drive_setup(strategy, seed, kappa, L):
-    """Open a session by hand so tests can poke at sub-rounds directly.
-
-    Mirrors run_pre_rspv's RNG derivation exactly (oracle, client, server),
-    including the container-seed normalization (hash seeding is salted)."""
-    if not isinstance(seed, (type(None), int, float, str, bytes, bytearray)):
-        seed = repr(seed)
-    master = Random(seed)
-    oracle = RandomOracle(master.randbytes(32))
-    client_rng = Random(master.randbytes(32))
-    server_rng = Random(master.randbytes(32))
-    session = strategy.begin(oracle, server_rng, kappa)
-    secrets = run_setup(session, NULL_TRANSCRIPT, client_rng, server_rng, kappa, L)
-    assert secrets is not None
-    return session, secrets, oracle, client_rng
 
 
 # -- input boundary ------------------------------------------------------------
@@ -54,6 +36,7 @@ def drive_setup(strategy, seed, kappa, L):
         {"L": 0, "force_plan": "prep:bn"},  # used to redraw an empty BN subset forever
         {"L": -1},  # used to run a session with no output gadgets
         {"kappa": 1},
+        {"kappa": 3},  # table building often finds no collision-free table
     ],
 )
 def test_run_pre_rspv_rejects_degenerate_sizes(kwargs):
@@ -196,10 +179,9 @@ def test_suffix_zero_is_the_only_honest_failure():
     # survives it must have deterministic parity 0 on the unphased helper
     n, bad_suffix = 4000, 0
     for i in range(n):
-        session, secrets, oracle, client_rng = drive_setup(adv.honest(), ("sz", i), 2, 0)
-        ok, parity = run_hadamard_test(
-            session, NULL_TRANSCRIPT, oracle, client_rng, HELPER, secrets.keys[HELPER], 2, None, None
-        )
+        s = open_session(adv.honest(), ("sz", i), 2, 0)
+        assert run_setup(s)
+        ok, parity = run_hadamard_test(s, HELPER, s.keys[HELPER], None, None)
         if not ok:
             bad_suffix += 1
         else:
@@ -213,13 +195,12 @@ def test_inph_delta_zero_and_four_are_deterministic():
     for delta in (0, 4):
         fails = skipped = 0
         for i in range(200):
-            session, secrets, oracle, client_rng = drive_setup(adv.honest(), ("d", delta, i), 12, 1)
-            if not run_add_phase(secrets, session, NULL_TRANSCRIPT, oracle, client_rng):
+            s = open_session(adv.honest(), ("d", delta, i), 12, 1)
+            assert run_setup(s)
+            if not run_add_phase(s):
                 skipped += 1  # helper hit the 2^-kappa zero-suffix event
                 continue
-            flag, score, got = run_inph_test(
-                secrets, session, NULL_TRANSCRIPT, oracle, client_rng, force_delta=delta
-            )
+            flag, score, got = run_inph_test(s, force_delta=delta)
             assert got == delta and score is False
             fails += not flag
         assert skipped <= 2 and fails <= 1, (delta, skipped, fails)
@@ -228,12 +209,11 @@ def test_inph_delta_zero_and_four_are_deterministic():
 def test_inph_delta_one_wins_at_cos_squared_rate():
     n, wins, formed = 3000, 0, 0
     for i in range(n):
-        session, secrets, oracle, client_rng = drive_setup(adv.honest(), ("quiz", i), 10, 1)
-        if not run_add_phase(secrets, session, NULL_TRANSCRIPT, oracle, client_rng):
+        s = open_session(adv.honest(), ("quiz", i), 10, 1)
+        assert run_setup(s)
+        if not run_add_phase(s):
             continue
-        flag, score, _ = run_inph_test(
-            secrets, session, NULL_TRANSCRIPT, oracle, client_rng, force_delta=1
-        )
+        flag, score, _ = run_inph_test(s, force_delta=1)
         if flag:  # conditioned on a well-formed d, parity 0 is exactly cos^2(pi/8)
             formed += 1
             wins += score
@@ -247,38 +227,40 @@ def test_inph_delta_one_wins_at_cos_squared_rate():
 
 
 def test_setup_leaves_server_holding_the_claws():
-    session, secrets, _, _ = drive_setup(adv.honest(), "claws", 8, 3)
-    assert set(session.gadgets) == {HELPER, 0, 1, 2, 3}
-    for idx, kp in secrets.keys.items():
-        assert session.gadgets[idx].keys == kp
+    s = open_session(adv.honest(), "claws", 8, 3)
+    assert run_setup(s)
+    assert set(s.server.gadgets) == {HELPER, 0, 1, 2, 3}
+    for idx, kp in s.keys.items():
+        assert s.server.gadgets[idx].keys == kp
 
 
 def test_add_phase_consumes_helper_and_rotates_outputs():
-    session, secrets, oracle, client_rng = drive_setup(adv.honest(), "burn", 10, 2)
-    assert run_add_phase(secrets, session, NULL_TRANSCRIPT, oracle, client_rng)
-    assert HELPER not in session.gadgets
-    assert set(session.gadgets) == {0, 1, 2}
+    s = open_session(adv.honest(), "burn", 10, 2)
+    assert run_setup(s) and run_add_phase(s)
+    assert HELPER not in s.server.gadgets
+    assert set(s.server.gadgets) == {0, 1, 2}
     for i in (0, 1, 2):
-        g = session.gadgets[i]
-        theta = secrets.thetas[i].theta1
+        g = s.server.gadgets[i]
+        theta = s.thetas[i].theta1
         assert abs(g.amp1 / g.amp0 - ROOT8[theta]) < 1e-9
 
 
 def test_fold_tracks_server_key_pair_and_phase():
     crossed_seen = False
     for i in range(50):
-        session, secrets, oracle, client_rng = drive_setup(adv.honest(), ("fold", i), 8, 3)
-        if not run_add_phase(secrets, session, NULL_TRANSCRIPT, oracle, client_rng):
+        s = open_session(adv.honest(), ("fold", i), 8, 3)
+        assert run_setup(s)
+        if not run_add_phase(s):
             continue
-        folded = _fold(secrets, session, NULL_TRANSCRIPT, oracle, client_rng, 0, [1, 2, 3])
+        folded = _fold(s, 0, [1, 2, 3])
         assert folded is not None
         kk, tt = folded
-        g = session.gadgets[0]
+        g = s.server.gadgets[0]
         assert g.keys == kk  # branch order included
         assert abs(g.amp1 / g.amp0 - ROOT8[(tt.theta1 - tt.theta0) % 8]) < 1e-9
-        all_equal = secrets.keys[0].x0
+        all_equal = s.keys[0].x0
         for j in (1, 2, 3):
-            all_equal = all_equal.concat(secrets.keys[j].x0)
+            all_equal = all_equal.concat(s.keys[j].x0)
         crossed_seen = crossed_seen or kk.x0 != all_equal
         if kk.x0.width != 4 * 8:
             pytest.fail("folded register should span base plus three others")
@@ -289,21 +271,21 @@ def test_bn_round_passes_under_both_coins():
     for coin in ("std", "had"):
         fails = 0
         for i in range(100):
-            session, secrets, oracle, client_rng = drive_setup(adv.honest(), ("bn", coin, i), 10, 3)
-            if not run_add_phase(secrets, session, NULL_TRANSCRIPT, oracle, client_rng):
+            s = open_session(adv.honest(), ("bn", coin, i), 10, 3)
+            assert run_setup(s)
+            if not run_add_phase(s):
                 continue
-            fails += not run_bn_test(
-                secrets, session, NULL_TRANSCRIPT, oracle, client_rng, force_coin=coin
-            )
+            fails += not run_bn_test(s, force_coin=coin)
         assert fails <= 1, (coin, fails)
 
 
 def test_comp_round_decodes_exactly():
     for i in range(30):
-        session, secrets, oracle, client_rng = drive_setup(adv.honest(), ("comp", i), 8, 4)
-        if not run_add_phase(secrets, session, NULL_TRANSCRIPT, oracle, client_rng):
+        s = open_session(adv.honest(), ("comp", i), 8, 4)
+        assert run_setup(s)
+        if not run_add_phase(s):
             continue
-        flag, outputs = run_comp_round(secrets, session, NULL_TRANSCRIPT)
+        flag, outputs = run_comp_round(s)
         assert flag
         assert outputs.decoded is not None
         assert outputs.decoded.thetas == outputs.client_thetas
