@@ -32,16 +32,16 @@ def main():
           f"(margin {mean - thr:.2f} ~ {(mean - thr) / mean ** 0.5:.1f} sigma)\n")
 
     for rep in range(3):
-        res = run_pre_rspv_temp(L, KAPPA, CFG, adv.honest(), Random(f"amp-h-{rep}"))
+        res = run_pre_rspv_temp(L, KAPPA, CFG, adv.parse_strategy("honest"), Random(f"amp-h-{rep}"))
         picked = f"picked #{res.picked}" if res.picked is not None else "no pick"
         kind = res.round_type or "not comp"
         print(f"honest temp {rep}: flag={res.flag} wins={res.wins:3d} {picked} ({kind})")
     for rep in range(3):
-        res = run_pre_rspv_temp(L, KAPPA, CFG, adv.always_lose(), Random(f"amp-a-{rep}"))
+        res = run_pre_rspv_temp(L, KAPPA, CFG, adv.parse_strategy("always_lose"), Random(f"amp-a-{rep}"))
         print(f"always_lose temp {rep}: flag={res.flag} after {res.sessions_run} session(s)")
 
     print("\nfull RSPV (repeat temp blocks until a computation round is sampled):")
-    res = run_rspv(L, KAPPA, CFG, adv.honest(), Random("amp-rspv"))
+    res = run_rspv(L, KAPPA, CFG, adv.parse_strategy("honest"), Random("amp-rspv"))
     print(f"flag={res.flag} after {res.temp_calls} temp call(s)")
     if res.outputs is not None:
         print(f"prepared |+_theta> states, theta = {res.outputs.client_thetas}, "

@@ -23,12 +23,12 @@ N_BN = 1500
 N_COMP = 1000
 
 STRATEGIES = [
-    ("honest", adv.honest()),
-    ("conjugate", adv.conjugate_attack()),
-    ("phase_offset bump:3", adv.parse_strategy({"attack": "phase_offset", "g": "bump:3"})),
-    ("ghz_collapse", adv.ghz_collapse()),
-    ("random_response", adv.random_response()),
-    ("corrupt_setup", adv.corrupt_setup()),
+    ("honest", "honest"),
+    ("conjugate", "conjugate"),
+    ("phase_offset bump:3", {"attack": "phase_offset", "g": "bump:3"}),
+    ("ghz_collapse", "ghz_collapse"),
+    ("random_response", "random_response"),
+    ("corrupt_setup", "corrupt_setup"),
 ]
 
 
@@ -71,7 +71,8 @@ def main():
     header = f"{'strategy':<20} {'quiz win':>9} {'bias pass':>10} {'bn/had':>8} {'decoded':>8} {'fid':>6}"
     print(header)
     print("-" * len(header))
-    for name, strat in STRATEGIES:
+    for name, spec in STRATEGIES:
+        strat = adv.parse_strategy(spec)
         win, bias = quiz_batch(strat, name)
         bn = bn_batch(strat, name)
         dec, fid = comp_batch(strat, name)

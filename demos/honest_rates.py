@@ -25,7 +25,7 @@ def fmt(interval):
 
 def main():
     t0 = time.perf_counter()
-    report = estimate_rates(L, KAPPA, SESSIONS, adv.honest(), SEED)
+    report = estimate_rates(L, KAPPA, SESSIONS, adv.parse_strategy("honest"), SEED)
     elapsed = time.perf_counter() - t0
     rates = report.rates()
 

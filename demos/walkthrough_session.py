@@ -35,7 +35,7 @@ GLOSS = {
 
 def main():
     out = run_pre_rspv(
-        adv.honest(), SEED, kappa=KAPPA, L=L, force_plan="comp", collect_transcript=True
+        adv.parse_strategy("honest"), SEED, kappa=KAPPA, L=L, force_plan="comp", collect_transcript=True
     )
     print(f"session: kappa={KAPPA} L={L} seed={SEED!r} (forced into a computation round)\n")
     for entry in out.transcript.entries:

@@ -12,17 +12,20 @@ interface shape, mirroring the protocol's information model:
 * all server randomness comes from the session's server stream, so a strategy
   cannot shift the client's draws (round type, deltas, pads, subsets).
 
-Built-in strategies:
+A ``Strategy`` is built only by ``parse_strategy(name or spec)``.  Its
+``spec`` is the canonical blob of that input, so it always describes the
+sessions the strategy starts: reports echo it, and parallel workers rebuild
+the strategy from it.  Built-in names:
 
 * ``honest`` — the reference server.
 * ``conjugate`` — complex-conjugates every diagonal operation (negated table
   phases, negated dephasing) and X-corrects its decoded output.  Every
   client-observable distribution is identical to honest, bit-for-bit under a
   shared seed.
-* ``phase_offset(f, g)`` — rotates branch b by f/g(theta_b) instead of
-  theta_b after decrypting a phase table, then continues honestly.  Linear
-  equal offsets are undetectable; nonlinear choices lose win rate and leak
-  fail events (see ``expected_inph_rates``).
+* ``phase_offset`` (phase functions ``f``, ``g``) — rotates branch b by
+  f/g(theta_b) instead of theta_b after decrypting a phase table, then
+  continues honestly.  Linear equal offsets are undetectable; nonlinear
+  choices lose win rate and leak fail events (see ``expected_inph_rates``).
 * ``random_response`` / ``always_lose`` — uniform-random bitstrings at every
   measurement hook (negative control; keeps honest internal state so widths
   are right).
@@ -37,7 +40,7 @@ Built-in strategies:
 from __future__ import annotations
 
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bits import Bits
 from .gadget import (
@@ -289,57 +292,13 @@ class GhzSession(ServerSession):
         return hadamard_sample(g, pad, self.oracle, self.rng)
 
 
-class Strategy:
-    """Stateless factory: one fresh ServerSession per protocol session."""
-
-    def __init__(self, name: str, session_cls: type[ServerSession], spec: dict | None = None, args: tuple = ()):
-        self.name = name
-        self._cls = session_cls
-        self._args = args
-        self.spec = spec if spec is not None else {"attack": name}
-
-    def begin(self, oracle, rng: Random, kappa: int) -> ServerSession:
-        return self._cls(oracle, rng, kappa, *self._args)
-
-    def __repr__(self):
-        return f"Strategy({self.name})"
-
-
-def honest() -> Strategy:
-    return Strategy("honest", ServerSession)
-
-
-def conjugate_attack() -> Strategy:
-    return Strategy("conjugate", ConjugateSession)
-
-
-def phase_offset_attack(
-    f: Callable[[int], int], g: Callable[[int], int], spec: dict | None = None
-) -> Strategy:
-    return Strategy("phase_offset", PhaseOffsetSession, spec=spec, args=(f, g))
-
-
-def random_response() -> Strategy:
-    return Strategy("random_response", RandomResponseSession)
-
-
-def always_lose() -> Strategy:
-    return Strategy("always_lose", RandomResponseSession)
-
-
-def corrupt_setup() -> Strategy:
-    return Strategy("corrupt_setup", CorruptSetupSession)
-
-
-def ghz_collapse() -> Strategy:
-    return Strategy("ghz_collapse", GhzSession)
-
-
 # -- strategy selection by name + JSON blob (CLI / parallel workers) --------
 
 def parse_phase_fn(spec: str) -> Callable[[int], int]:
     """Phase-function grammar: identity | negate | shift:k | bump:t | const:c
     | map:v0,...,v7 (all arithmetic mod 8)."""
+    if not isinstance(spec, str):
+        raise ValueError(f"phase function must be a string, not {spec!r}")
     if spec == "identity":
         return lambda t: t
     if spec == "negate":
@@ -362,31 +321,46 @@ def parse_phase_fn(spec: str) -> Callable[[int], int]:
     raise ValueError(f"unknown phase function {spec!r}")
 
 
+class Strategy(NamedTuple):
+    """One server strategy; build it with ``parse_strategy``, so that ``spec``
+    always describes the sessions ``begin`` starts."""
+
+    name: str
+    spec: dict
+    session_cls: type[ServerSession]
+    args: tuple = ()
+
+    def begin(self, oracle, rng: Random, kappa: int) -> ServerSession:
+        return self.session_cls(oracle, rng, kappa, *self.args)
+
+
+#: strategy name -> session class; ``always_lose`` is an alias
+_SESSIONS: dict[str, type[ServerSession]] = {
+    "honest": ServerSession,
+    "conjugate": ConjugateSession,
+    "phase_offset": PhaseOffsetSession,
+    "random_response": RandomResponseSession,
+    "always_lose": RandomResponseSession,
+    "corrupt_setup": CorruptSetupSession,
+    "ghz_collapse": GhzSession,
+}
+
+
 def parse_strategy(spec: dict | str) -> Strategy:
-    """Build a Strategy from a CLI-style blob, e.g.
-    {"attack": "phase_offset", "f": "shift:1", "g": "identity"}."""
+    """Build a Strategy from a name or a CLI-style blob, e.g.
+    {"attack": "phase_offset", "f": "shift:1", "g": "identity"}.  The
+    strategy's ``spec`` is the blob's canonical form, which reports echo."""
     if isinstance(spec, str):
         spec = {"attack": spec}
     name = spec.get("attack", "honest")
-    simple = {
-        "honest": honest,
-        "conjugate": conjugate_attack,
-        "random_response": random_response,
-        "always_lose": always_lose,
-        "corrupt_setup": corrupt_setup,
-        "ghz_collapse": ghz_collapse,
-    }
-    if name in simple:
-        return simple[name]()
-    if name == "phase_offset":
-        f_spec = spec.get("f", "identity")
-        g_spec = spec.get("g", "identity")
-        return phase_offset_attack(
-            parse_phase_fn(f_spec),
-            parse_phase_fn(g_spec),
-            spec={"attack": "phase_offset", "f": f_spec, "g": g_spec},
-        )
-    raise ValueError(f"unknown strategy {name!r}")
+    cls = _SESSIONS.get(name)
+    if cls is None:
+        raise ValueError(f"unknown strategy {name!r}")
+    if cls is PhaseOffsetSession:
+        f, g = spec.get("f", "identity"), spec.get("g", "identity")
+        fns = (parse_phase_fn(f), parse_phase_fn(g))
+        return Strategy(name, {"attack": name, "f": f, "g": g}, cls, fns)
+    return Strategy(name, {"attack": name}, cls)
 
 
 # -- analytic expectation oracle ---------------------------------------------

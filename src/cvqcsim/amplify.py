@@ -41,7 +41,6 @@ class AmplificationConfig:
     n_temp: int = 2000
     win_slack: float = 0.02
     n_rspv: int = 100
-    fail_fast: bool = True  # stop a temp run at its first failed session
 
     def __post_init__(self) -> None:
         if self.n_temp < 1:
@@ -96,25 +95,20 @@ def run_pre_rspv_temp(
 ) -> PreRspvTempResult:
     """One amplification block: N_temp sessions, stats checks, uniform pick."""
     master = _as_rng(rng)
-    types: list[str] = []
     comp_outputs: dict[int, CompOutputs | None] = {}
     wins = 0
-    any_fail = False
     for i in range(cfg.n_temp):
         out = run_pre_rspv(strategy, master.randbytes(32), kappa=kappa, L=L)
-        types.append(out.round_type)
         if out.round_type == "comp":
             comp_outputs[i] = out.outputs
         if out.score:
             wins += 1
         if not out.flag:
-            any_fail = True
-            if cfg.fail_fast:
-                return PreRspvTempResult(False, None, None, wins, i + 1, None)
-    if any_fail or wins <= win_threshold(cfg):
+            return PreRspvTempResult(False, None, None, wins, i + 1, None)
+    if wins <= win_threshold(cfg):
         return PreRspvTempResult(False, None, None, wins, cfg.n_temp, None)
     picked = master.randrange(cfg.n_temp)
-    if types[picked] == "comp":
+    if picked in comp_outputs:
         return PreRspvTempResult(True, "comp", comp_outputs[picked], wins, cfg.n_temp, picked)
     return PreRspvTempResult(True, None, None, wins, cfg.n_temp, picked)
 

@@ -218,14 +218,14 @@ def _check_ntcf() -> bool:
     # chk(pk, b, x, y) iff dec(sk, b, y) == x, over the whole kappa=3 cube
     from .ntcf import dec
 
-    km = keygen(3, Random(11))
+    key = keygen(3, Random(11))
     for y_val in range(64):
         y = Bits(y_val, 6)
         for b in (0, 1):
-            inv = dec(km.sk, b, y)
+            inv = dec(key, b, y)
             for x_val in range(8):
                 x = Bits(x_val, 3)
-                if chk(km.pk, b, x, y) != (inv == x):
+                if chk(key, b, x, y) != (inv == x):
                     return False
     return True
 

@@ -117,12 +117,12 @@ class ExperimentReport:
         return json.dumps(self.to_dict(timing=timing), separators=(",", ":")) + "\n"
 
 
-def _run_one(args) -> tuple[str, bool, bool, float | None, bool]:
+def _run_one(args) -> tuple[str, bool, bool, float | None]:
     """Worker body: one session reduced to the aggregate-relevant tuple."""
     spec, seed, kappa, L, force_plan = args
     out = run_pre_rspv(parse_strategy(spec), seed, kappa=kappa, L=L, force_plan=force_plan)
     fid = out.outputs.fidelity() if out.outputs is not None else None
-    return out.round_type, out.flag, bool(out.score), fid, out.outputs is not None
+    return out.round_type, out.flag, bool(out.score), fid
 
 
 def estimate_rates(
@@ -140,7 +140,7 @@ def estimate_rates(
     With workers > 1, sessions fan out over a process pool; the strategy is
     shipped as its spec dict and rebuilt per worker, and since every session
     seed comes from the master seed by counter, the aggregate is identical
-    to the serial run.  Raises ValueError on L < 1, kappa < 2 or sessions < 1.
+    to the serial run.  Raises ValueError on L < 1, kappa < 4 or sessions < 1.
     """
     check_size(L, kappa)
     if sessions < 1:
@@ -167,7 +167,7 @@ def estimate_rates(
     bucket_counts = {b: 0 for b in BUCKETS}
     pass_count = quiz_count = win_count = comp_count = comp_decoded = 0
     fid_sum = 0.0
-    for rt, flag, score, fid, _has_out in results:
+    for rt, flag, score, fid in results:
         round_counts[rt] = round_counts.get(rt, 0) + 1
         bucket_counts[bucket_of(rt)] += 1
         pass_count += flag
@@ -233,10 +233,8 @@ def scaling_bench(kappa: int, l_grid: list[int], sessions_per_l: int, rng) -> Be
     """
     if list(l_grid) != sorted(l_grid) or len(l_grid) < 1:
         raise ValueError("l_grid must be ascending and nonempty")
-    from .adversary import honest
-
     master = master_seed_from(rng)
-    strat = honest()
+    strat = parse_strategy("honest")
     for L in l_grid:
         # one throwaway session warms caches/allocators at this size
         run_pre_rspv(strat, derive_seed(master, f"warm-{L}", 0), kappa=kappa, L=L, force_plan="comp")

@@ -20,10 +20,11 @@ it.  Claw-freeness is enforced by interface discipline instead: server-side
 strategy code never receives key material, only honest post-measurement
 branch data.
 
-In this mock the public and the secret key are one ``NtcfKey`` object, which
-carries a memo of Feistel round outputs, as client and server share one oracle
-memo: ``dec`` of an honest image reuses ``eval_claw``'s four rounds.  The memo
-caches a pure function of the key, so no output changes.
+In this mock ``keygen`` returns one ``NtcfKey``, passed as the public key
+(``pk``) and as the trapdoor (``sk``) alike.  It carries a memo of Feistel
+round outputs, as client and server share one oracle memo: ``dec`` of an
+honest image reuses ``eval_claw``'s four rounds.  The memo caches a pure
+function of the key, so no output changes.
 
 The protocol imports these module functions directly (``keygen``,
 ``eval_claw``, ``dec``, ``claw_partner``; ``chk`` for checks), so an
@@ -47,11 +48,6 @@ class NtcfKey(NamedTuple):
     shift: Bits  # functionally public in this mock; see module docstring
     prf: blake2b  # blake2b keyed by the permutation seed, built once per key
     rounds: dict[int, int]  # Feistel round memo
-
-
-class NtcfKeyMaterial(NamedTuple):
-    pk: NtcfKey
-    sk: NtcfKey  # the same object as pk
 
 
 class ClawResult(NamedTuple):
@@ -86,13 +82,12 @@ def _unpermute(key: NtcfKey, y: int) -> int:
     return (left << kappa) | right
 
 
-def keygen(kappa: int, rng: Random) -> NtcfKeyMaterial:
+def keygen(kappa: int, rng: Random) -> NtcfKey:
     """Sample a permutation seed and a nonzero hidden shift."""
     if kappa < 2:
         raise ValueError("kappa must be >= 2 (shift space degenerate below that)")
     perm_seed = rng.randbytes(32)  # drawn before the shift, as the golden digests pin
-    key = NtcfKey(kappa, Bits(rng.randrange(1, 1 << kappa), kappa), prf_key(perm_seed), {})
-    return NtcfKeyMaterial(key, key)
+    return NtcfKey(kappa, Bits(rng.randrange(1, 1 << kappa), kappa), prf_key(perm_seed), {})
 
 
 def eval_claw(pk: NtcfKey, rng: Random) -> ClawResult:

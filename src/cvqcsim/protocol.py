@@ -160,17 +160,17 @@ def run_setup(s: ClientSession) -> bool:
     """
     server, tr, rng, kappa = s.server, s.tr, s.rng, s.kappa
     for idx in (HELPER, *range(s.L + 1)):
-        km = keygen(kappa, rng)
+        key = keygen(kappa, rng)
         if tr.recording:
             tr.say("client", "setup.block", {"idx": idx, "kappa": kappa})
-        claw = eval_claw(km.pk, server.rng)
+        claw = eval_claw(key, server.rng)
         y = server.setup_block(idx, claw)
         if tr.recording:
             tr.say("server", "setup.y", {"idx": idx, "y": y.token()})
-        x0 = dec(km.sk, 0, y)
+        x0 = dec(key, 0, y)
         if x0 is None:
             return False
-        s.keys[idx] = KeyPair(x0, claw_partner(km.sk, x0))
+        s.keys[idx] = KeyPair(x0, claw_partner(key, x0))
     return True
 
 

@@ -38,11 +38,13 @@ from cvqcsim.protocol import (
 
 pytestmark = pytest.mark.acceptance
 
+HONEST = adv.parse_strategy("honest")
+
 
 @pytest.fixture(scope="module")
 def dispatch_report():
     # shared 10^5-session honest run for criteria 1 and 2
-    return estimate_rates(8, 16, 100_000, adv.honest(), b"acceptance-criteria-1-2")
+    return estimate_rates(8, 16, 100_000, HONEST, b"acceptance-criteria-1-2")
 
 
 def test_accept_01_honest_quiz_win_rate(dispatch_report):
@@ -67,7 +69,7 @@ def test_accept_02_round_type_frequencies(dispatch_report):
 
 def test_accept_03_comp_outputs_exact_and_uniform():
     n, L = 100_000, 2
-    strat = adv.honest()
+    strat = HONEST
     counts = Counter()
     decoded = 0
     worst = 0.0
@@ -121,7 +123,7 @@ def test_accept_04_sampler_matches_enumeration():
 def test_accept_05_honest_one_sided_error():
     kappa, L, per_variant = 8, 2, 25_000
     bound = 2.0 ** (1 - kappa)
-    strat = adv.honest()
+    strat = HONEST
 
     def trial(variant, i):
         s = open_session(strat, f"accept5-{variant}-{i}", kappa, L)
@@ -154,7 +156,7 @@ def test_accept_05_honest_one_sided_error():
 
 def test_accept_06_conjugate_strategy_equivalence():
     n, kappa, L = 20_000, 6, 2
-    honest, conj = adv.honest(), adv.conjugate_attack()
+    honest, conj = HONEST, adv.parse_strategy("conjugate")
     dist_h, dist_c = Counter(), Counter()
     for i in range(n):
         a = run_pre_rspv(honest, f"accept6-{i}", kappa=kappa, L=L)
@@ -178,7 +180,7 @@ def test_accept_07_phase_offset_detection_gap():
     gap_pass = predicted["delta_fail"]  # honest delta-fail is 0 in this limit
     assert gap_win >= 0.01 and gap_pass >= 0.01  # oracle-computed gaps
 
-    strat = adv.phase_offset_attack(f, g, spec={"attack": "phase_offset", "f": "identity", "g": "bump:3"})
+    strat = adv.parse_strategy({"attack": "phase_offset", "f": "identity", "g": "bump:3"})
     wins = quiz = passes = biased = 0
     for i in range(n):
         out = run_pre_rspv(strat, f"accept7-{i}", kappa=kappa, L=L, force_plan="prep:inph")
@@ -213,16 +215,16 @@ def test_accept_08_amplification_desk_scale():
     kappa, L = 20, 2
 
     accepted = sum(
-        run_pre_rspv_temp(L, kappa, cfg, adv.honest(), Random(f"accept8-temp-{r}")).flag
+        run_pre_rspv_temp(L, kappa, cfg, HONEST, Random(f"accept8-temp-{r}")).flag
         for r in range(40)
     )
     rejected = sum(
-        not run_pre_rspv_temp(1, 8, cfg, adv.always_lose(), Random(f"accept8-al-{r}")).flag
+        not run_pre_rspv_temp(1, 8, cfg, adv.parse_strategy("always_lose"), Random(f"accept8-al-{r}")).flag
         for r in range(20)
     )
     rspv_ok = 0
     for r in range(10):
-        res = run_rspv(L, kappa, cfg, adv.honest(), Random(f"accept8-rspv-{r}"))
+        res = run_rspv(L, kappa, cfg, HONEST, Random(f"accept8-rspv-{r}"))
         if res.flag:
             assert res.outputs is not None and res.outputs.fidelity() == 1.0
             rspv_ok += 1
@@ -257,8 +259,8 @@ def test_accept_10_replay_determinism(capsys):
             if a.transcript.to_jsonl() != b.transcript.to_jsonl():
                 pytest.fail(f"ACCEPT-10 FAIL transcript replay diverged ({name}, seed {s})")
 
-    ra = estimate_rates(2, 8, 300, adv.honest(), b"accept-10-report")
-    rb = estimate_rates(2, 8, 300, adv.honest(), b"accept-10-report")
+    ra = estimate_rates(2, 8, 300, HONEST, b"accept-10-report")
+    rb = estimate_rates(2, 8, 300, HONEST, b"accept-10-report")
     if ra.to_json() != rb.to_json():
         pytest.fail("ACCEPT-10 FAIL rate reports diverged")
 

@@ -64,7 +64,7 @@ def test_phase_fn_grammar(spec, inp, out):
 
 
 def test_phase_fn_errors():
-    for bad in ("wat", "shift:x", "map:1,2,3"):
+    for bad in ("wat", "shift:x", "map:1,2,3", 5, None):
         with pytest.raises(ValueError):
             parse_phase_fn(bad)
 
@@ -121,14 +121,14 @@ def test_inph_rates_const_attack_is_terrible():
 
 
 def test_honest_session_tracks_claws():
-    outs = [run_pre_rspv(adv.honest(), ("claw", i), **KL) for i in range(50)]
+    outs = [run_pre_rspv(parse_strategy("honest"), ("claw", i), **KL) for i in range(50)]
     assert all(o.flag for o in outs) or sum(not o.flag for o in outs) <= 1
 
 
 def test_conjugate_matches_honest_per_seed():
     for i in range(400):
-        a = run_pre_rspv(adv.honest(), ("cj", i), kappa=6, L=2)
-        b = run_pre_rspv(adv.conjugate_attack(), ("cj", i), kappa=6, L=2)
+        a = run_pre_rspv(parse_strategy("honest"), ("cj", i), kappa=6, L=2)
+        b = run_pre_rspv(parse_strategy("conjugate"), ("cj", i), kappa=6, L=2)
         assert (a.round_type, a.flag, a.score) == (b.round_type, b.flag, b.score)
 
 
@@ -137,7 +137,7 @@ def test_global_phase_shift4_matches_honest_per_seed():
     # bitwise invisible to every probability the server computes.
     s = parse_strategy({"attack": "phase_offset", "f": "shift:4", "g": "shift:4"})
     for i in range(300):
-        a = run_pre_rspv(adv.honest(), ("g4", i), **KL)
+        a = run_pre_rspv(parse_strategy("honest"), ("g4", i), **KL)
         b = run_pre_rspv(s, ("g4", i), **KL)
         assert (a.round_type, a.flag, a.score) == (b.round_type, b.flag, b.score)
 
@@ -160,7 +160,7 @@ def test_equal_shift_statistically_silent():
 def test_random_response_fails_measured_rounds():
     for plan in ("test", "prep:stdb", "prep:coph", "prep:bn"):
         fails = sum(
-            not run_pre_rspv(adv.random_response(), ("rr", plan, i), **KL, force_plan=plan).flag
+            not run_pre_rspv(parse_strategy("random_response"), ("rr", plan, i), **KL, force_plan=plan).flag
             for i in range(60)
         )
         assert fails == 60, plan
@@ -168,19 +168,19 @@ def test_random_response_fails_measured_rounds():
 
 def test_random_response_comp_yields_no_output():
     for i in range(40):
-        o = run_pre_rspv(adv.random_response(), ("rrc", i), **KL, force_plan="comp")
+        o = run_pre_rspv(parse_strategy("random_response"), ("rrc", i), **KL, force_plan="comp")
         assert o.outputs is None or o.outputs.decoded is None
 
 
 def test_always_lose_is_random_response():
-    a = run_pre_rspv(adv.always_lose(), b"alias", **KL)
-    b = run_pre_rspv(adv.random_response(), b"alias", **KL)
+    a = run_pre_rspv(parse_strategy("always_lose"), b"alias", **KL)
+    b = run_pre_rspv(parse_strategy("random_response"), b"alias", **KL)
     assert (a.round_type, a.flag, a.score) == (b.round_type, b.flag, b.score)
 
 
 def test_corrupt_setup_always_rejected():
     for i in range(300):
-        assert not run_pre_rspv(adv.corrupt_setup(), ("cor", i), **KL).flag
+        assert not run_pre_rspv(parse_strategy("corrupt_setup"), ("cor", i), **KL).flag
 
 
 # -- the GHZ / branch-number attack -------------------------------------------
@@ -191,7 +191,7 @@ def test_ghz_passes_everything_but_bn():
     n = 0
     for plan in ("test", "prep:stdb", "prep:coph", "prep:inph", "comp"):
         for i in range(150):
-            o = run_pre_rspv(adv.ghz_collapse(), ("gz", plan, i), kappa=10, L=2, force_plan=plan)
+            o = run_pre_rspv(parse_strategy("ghz_collapse"), ("gz", plan, i), kappa=10, L=2, force_plan=plan)
             n += 1
             fails += not o.flag
     assert fails / n < 0.01  # honest-level residue only
@@ -215,7 +215,7 @@ def test_ghz_bn_hadamard_coin_is_a_fair_coin():
     n, fails = 3000, 0
     for i in range(n):
         o = run_pre_rspv(
-            adv.ghz_collapse(), ("gzh", i), kappa=10, L=3,
+            parse_strategy("ghz_collapse"), ("gzh", i), kappa=10, L=3,
             force_plan="prep:bn", force_coin="had",
         )
         fails += not o.flag
@@ -227,7 +227,7 @@ def test_ghz_bn_hadamard_coin_is_a_fair_coin():
 def test_ghz_bn_std_coin_always_passes():
     fails = sum(
         not run_pre_rspv(
-            adv.ghz_collapse(), ("gzs", i), kappa=10, L=3,
+            parse_strategy("ghz_collapse"), ("gzs", i), kappa=10, L=3,
             force_plan="prep:bn", force_coin="std",
         ).flag
         for i in range(800)
@@ -238,7 +238,7 @@ def test_ghz_bn_std_coin_always_passes():
 def test_ghz_single_output_is_undetectable():
     # with L=1 the subset is always everything: nothing ever collapses
     fails = sum(
-        not run_pre_rspv(adv.ghz_collapse(), ("gz1", i), kappa=10, L=1, force_plan="prep:bn").flag
+        not run_pre_rspv(parse_strategy("ghz_collapse"), ("gz1", i), kappa=10, L=1, force_plan="prep:bn").flag
         for i in range(600)
     )
     assert fails <= 6

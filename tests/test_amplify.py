@@ -21,6 +21,7 @@ from cvqcsim.amplify import (
 )
 from cvqcsim.protocol import P_QUIZ, run_pre_rspv
 
+HONEST = adv.parse_strategy("honest")
 FAST = AmplificationConfig(n_temp=600)
 
 
@@ -106,7 +107,7 @@ def test_chernoff_bound_dominates_exact_tail_at_half():
 def test_temp_honest_accepts():
     accepted = 0
     for rep in range(10):
-        res = run_pre_rspv_temp(1, 16, FAST, adv.honest(), Random(f"temp-{rep}"))
+        res = run_pre_rspv_temp(1, 16, FAST, HONEST, Random(f"temp-{rep}"))
         if res.flag:
             accepted += 1
             assert res.sessions_run == FAST.n_temp
@@ -118,32 +119,13 @@ def test_temp_honest_accepts():
     assert accepted >= 9, accepted
 
 
-def test_temp_fail_fast_equivalent_when_accepting():
-    lazy = AmplificationConfig(n_temp=FAST.n_temp, fail_fast=False)
-    seen_accept = False
-    for rep in range(3):
-        a = run_pre_rspv_temp(1, 16, FAST, adv.honest(), Random(f"ff-{rep}"))
-        b = run_pre_rspv_temp(1, 16, lazy, adv.honest(), Random(f"ff-{rep}"))
-        if a.flag:
-            seen_accept = True
-            assert a == b  # no failure means the early-exit path never forks
-    assert seen_accept
-
-
 def test_temp_always_lose_rejects_fast():
     for rep in range(10):
-        res = run_pre_rspv_temp(1, 8, FAST, adv.always_lose(), Random(f"al-{rep}"))
+        res = run_pre_rspv_temp(1, 8, FAST, adv.parse_strategy("always_lose"), Random(f"al-{rep}"))
         assert res.flag is False
         assert res.picked is None and res.outputs is None
-        # nearly every session fails a check, so fail-fast exits immediately
+        # nearly every session fails a check, so the block exits immediately
         assert res.sessions_run <= 10, res.sessions_run
-
-
-def test_temp_always_lose_rejects_without_fail_fast_too():
-    lazy = AmplificationConfig(n_temp=120, fail_fast=False)
-    res = run_pre_rspv_temp(1, 8, lazy, adv.always_lose(), Random("al-lazy"))
-    assert res.flag is False
-    assert res.sessions_run == 120
 
 
 # -- RSPV ----------------------------------------------------------------------
@@ -154,7 +136,7 @@ def test_rspv_honest_produces_verified_states():
     # win-count coin flip), so ask for a majority and verify the successes
     succeeded = 0
     for rep in range(5):
-        res = run_rspv(1, 16, FAST, adv.honest(), Random(f"rspv-{rep}"))
+        res = run_rspv(1, 16, FAST, HONEST, Random(f"rspv-{rep}"))
         assert 1 <= res.temp_calls <= FAST.n_rspv
         if res.flag:
             succeeded += 1
@@ -163,8 +145,8 @@ def test_rspv_honest_produces_verified_states():
 
 
 def test_rspv_rejection_is_absorbing():
-    for strat in (adv.always_lose(), adv.corrupt_setup()):
-        res = run_rspv(1, 8, FAST, adv.always_lose(), Random("rspv-rej"))
+    for strat in (adv.parse_strategy("always_lose"), adv.parse_strategy("corrupt_setup")):
+        res = run_rspv(1, 8, FAST, strat, Random("rspv-rej"))
         assert res.flag is False and res.outputs is None
         assert res.temp_calls == 1  # first temp block already rejects
 
@@ -176,12 +158,12 @@ def test_rspv_without_comp_pick_rejects():
     seed = None
     for cand in range(50):
         master = Random(f"nc-{cand}")
-        temps = [run_pre_rspv_temp(1, 16, cfg, adv.honest(), master) for _ in range(2)]
+        temps = [run_pre_rspv_temp(1, 16, cfg, HONEST, master) for _ in range(2)]
         if all(t.flag and t.round_type is None for t in temps):
             seed = cand
             break
     assert seed is not None
-    res = run_rspv(1, 16, cfg, adv.honest(), Random(f"nc-{seed}"))
+    res = run_rspv(1, 16, cfg, HONEST, Random(f"nc-{seed}"))
     assert res.flag is False and res.outputs is None
     assert res.temp_calls == cfg.n_rspv
 
@@ -193,20 +175,20 @@ def test_cvqc_honest_accepts_and_verifier_gate_holds():
     cfg = AmplificationConfig(n_temp=100)
     result = None
     for cand in range(20):
-        result = run_cvqc(2, 12, cfg, adv.honest(), fidelity_verifier, Random(f"cvqc-{cand}"))
+        result = run_cvqc(2, 12, cfg, HONEST, fidelity_verifier, Random(f"cvqc-{cand}"))
         if result.accepted:
             break
     assert result is not None and result.accepted
     assert result.rspv.flag and result.rspv.outputs.fidelity() == 1.0
     # same preparation, paranoid verifier: acceptance must flip off
-    rerun = run_cvqc(2, 12, cfg, adv.honest(), lambda outputs: False, Random(f"cvqc-{cand}"))
+    rerun = run_cvqc(2, 12, cfg, HONEST, lambda outputs: False, Random(f"cvqc-{cand}"))
     assert isinstance(rerun, CvqcResult)
     assert rerun.rspv.flag and not rerun.accepted
 
 
 def test_cvqc_rejects_cheaters():
     cfg = AmplificationConfig(n_temp=100)
-    res = run_cvqc(2, 8, cfg, adv.always_lose(), fidelity_verifier, Random("cvqc-al"))
+    res = run_cvqc(2, 8, cfg, adv.parse_strategy("always_lose"), fidelity_verifier, Random("cvqc-al"))
     assert res.accepted is False and res.rspv.flag is False
 
 
@@ -218,7 +200,7 @@ def test_threshold_clears_measured_honest_win_rate():
     # rate must exceed the threshold rate by many standard errors
     n, wins = 8000, 0
     for i in range(n):
-        wins += bool(run_pre_rspv(adv.honest(), f"thr-{i}", kappa=10, L=1).score)
+        wins += bool(run_pre_rspv(HONEST, f"thr-{i}", kappa=10, L=1).score)
     rate = wins / n
     threshold_rate = P_QUIZ * OPT - AmplificationConfig().win_slack
     sigma = math.sqrt(rate * (1 - rate) / n)

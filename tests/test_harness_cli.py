@@ -17,6 +17,7 @@ from cvqcsim.harness import (
     wilson_interval,
 )
 
+HONEST = adv.parse_strategy("honest")
 SEED32 = bytes(range(32))
 
 
@@ -46,7 +47,7 @@ def test_wilson_interval_is_calibrated():
     # dispatch rate 0.1 in roughly 95 of 100 independent reports
     covered = 0
     for rep in range(100):
-        rep_report = estimate_rates(1, 6, 250, adv.honest(), f"cal-{rep}")
+        rep_report = estimate_rates(1, 6, 250, HONEST, f"cal-{rep}")
         _, low, high = rep_report.rates()["freq_comp"]
         covered += low <= 0.1 <= high
     assert covered >= 87, covered
@@ -77,8 +78,8 @@ def test_master_seed_from_variants():
 
 
 def test_report_is_deterministic_and_timing_is_excluded():
-    a = estimate_rates(1, 8, 300, adv.honest(), SEED32)
-    b = estimate_rates(1, 8, 300, adv.honest(), SEED32)
+    a = estimate_rates(1, 8, 300, HONEST, SEED32)
+    b = estimate_rates(1, 8, 300, HONEST, SEED32)
     assert a.to_json() == b.to_json()
     assert a.seed == SEED32.hex()
     assert "elapsed_s" not in a.to_dict()
@@ -87,7 +88,7 @@ def test_report_is_deterministic_and_timing_is_excluded():
 
 
 def test_report_counts_are_consistent():
-    r = estimate_rates(1, 8, 400, adv.honest(), b"counts")
+    r = estimate_rates(1, 8, 400, HONEST, b"counts")
     assert sum(r.round_counts.values()) == r.sessions == 400
     assert sum(r.bucket_counts.values()) == r.sessions
     assert set(r.bucket_counts) == set(BUCKETS)
@@ -101,13 +102,18 @@ def test_report_counts_are_consistent():
 
 
 def test_parallel_run_matches_serial():
-    a = estimate_rates(1, 6, 600, adv.honest(), b"pool-check")
-    b = estimate_rates(1, 6, 600, adv.honest(), b"pool-check", workers=2)
-    assert a.to_json() == b.to_json()
+    # the pool rebuilds each strategy from its spec, so a tampering one must
+    # tamper there too: equal to serial, and unlike honest under the same seed
+    honest = estimate_rates(1, 6, 600, HONEST, b"pool-check")
+    assert honest.to_json() == estimate_rates(1, 6, 600, HONEST, b"pool-check", workers=2).to_json()
+    const0 = adv.parse_strategy({"attack": "phase_offset", "f": "const:0", "g": "const:0"})
+    serial = estimate_rates(1, 6, 600, const0, b"pool-check")
+    assert serial.to_json() == estimate_rates(1, 6, 600, const0, b"pool-check", workers=2).to_json()
+    assert serial.pass_count != honest.pass_count
 
 
 def test_force_plan_is_echoed_and_applied():
-    r = estimate_rates(1, 8, 120, adv.honest(), b"forced", force_plan="comp")
+    r = estimate_rates(1, 8, 120, HONEST, b"forced", force_plan="comp")
     assert r.force_plan == "comp"
     assert set(r.round_counts) == {"comp"}
     assert r.rates()["freq_comp"][0] == 1.0
@@ -115,13 +121,13 @@ def test_force_plan_is_echoed_and_applied():
 
 def test_estimate_rates_rejects_empty_run():
     with pytest.raises(ValueError):
-        estimate_rates(1, 8, 0, adv.honest(), 1)
+        estimate_rates(1, 8, 0, HONEST, 1)
 
 
 @pytest.mark.parametrize("L, kappa, sessions", [(0, 8, 10), (-1, 8, 10), (2, 1, 10), (2, 3, 10), (2, 8, 0)])
 def test_estimate_rates_rejects_degenerate_sizes(L, kappa, sessions):
     with pytest.raises(ValueError):
-        estimate_rates(L, kappa, sessions, adv.honest(), 1, force_plan="prep:bn")
+        estimate_rates(L, kappa, sessions, HONEST, 1, force_plan="prep:bn")
 
 
 # -- scaling bench ----------------------------------------------------------------

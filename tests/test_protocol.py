@@ -26,6 +26,8 @@ from cvqcsim.protocol import (
     run_setup,
 )
 
+HONEST = adv.parse_strategy("honest")
+
 
 # -- input boundary ------------------------------------------------------------
 
@@ -41,7 +43,7 @@ from cvqcsim.protocol import (
 )
 def test_run_pre_rspv_rejects_degenerate_sizes(kwargs):
     with pytest.raises(ValueError):
-        run_pre_rspv(adv.honest(), "size", **{"kappa": 8, "L": 2, **kwargs})
+        run_pre_rspv(HONEST, "size", **{"kappa": 8, "L": 2, **kwargs})
 
 
 # -- transcript mechanics ------------------------------------------------------
@@ -80,9 +82,9 @@ def test_null_transcript_drops_messages():
 
 
 def test_transcript_absent_unless_requested():
-    out = run_pre_rspv(adv.honest(), 1, kappa=6, L=1)
+    out = run_pre_rspv(HONEST, 1, kappa=6, L=1)
     assert out.transcript is None
-    out = run_pre_rspv(adv.honest(), 1, kappa=6, L=1, collect_transcript=True)
+    out = run_pre_rspv(HONEST, 1, kappa=6, L=1, collect_transcript=True)
     assert out.transcript is not None
     assert out.transcript.entries[0]["step"] == "round.plan"
     assert out.transcript.entries[-1]["step"] == "session.outcome"
@@ -92,8 +94,8 @@ def test_transcript_absent_unless_requested():
 
 
 def test_same_seed_replays_byte_identical():
-    a = run_pre_rspv(adv.honest(), b"replay", kappa=8, L=3, collect_transcript=True)
-    b = run_pre_rspv(adv.honest(), b"replay", kappa=8, L=3, collect_transcript=True)
+    a = run_pre_rspv(HONEST, b"replay", kappa=8, L=3, collect_transcript=True)
+    b = run_pre_rspv(HONEST, b"replay", kappa=8, L=3, collect_transcript=True)
     assert (a.round_type, a.flag, a.score, a.quiz_delta) == (
         b.round_type,
         b.flag,
@@ -104,15 +106,15 @@ def test_same_seed_replays_byte_identical():
 
 
 def test_different_seeds_diverge():
-    a = run_pre_rspv(adv.honest(), "s1", kappa=8, L=3, collect_transcript=True)
-    b = run_pre_rspv(adv.honest(), "s2", kappa=8, L=3, collect_transcript=True)
+    a = run_pre_rspv(HONEST, "s1", kappa=8, L=3, collect_transcript=True)
+    b = run_pre_rspv(HONEST, "s2", kappa=8, L=3, collect_transcript=True)
     assert a.transcript.to_jsonl() != b.transcript.to_jsonl()
 
 
 def test_unhashable_style_seeds_are_normalized():
     # container seeds are accepted (stringified) and still deterministic
-    a = run_pre_rspv(adv.honest(), ("run", 3), kappa=6, L=1, collect_transcript=True)
-    b = run_pre_rspv(adv.honest(), ("run", 3), kappa=6, L=1, collect_transcript=True)
+    a = run_pre_rspv(HONEST, ("run", 3), kappa=6, L=1, collect_transcript=True)
+    b = run_pre_rspv(HONEST, ("run", 3), kappa=6, L=1, collect_transcript=True)
     assert a.transcript.to_jsonl() == b.transcript.to_jsonl()
 
 
@@ -123,7 +125,7 @@ def test_round_dispatch_frequencies():
     n = 6000
     counts = dict.fromkeys(ROUND_TYPES, 0)
     for i in range(n):
-        counts[run_pre_rspv(adv.honest(), ("dispatch", i), kappa=6, L=1).round_type] += 1
+        counts[run_pre_rspv(HONEST, ("dispatch", i), kappa=6, L=1).round_type] += 1
     expected = {t: (0.5 if t == "test" else 0.1) for t in ROUND_TYPES}
     for t, p in expected.items():
         sigma = (p * (1 - p) / n) ** 0.5
@@ -137,13 +139,13 @@ def test_force_plan_keeps_rng_stream_aligned():
         seed = 0
         while True:
             natural = run_pre_rspv(
-                adv.honest(), ("align", target, seed), kappa=6, L=1, collect_transcript=True
+                HONEST, ("align", target, seed), kappa=6, L=1, collect_transcript=True
             )
             if natural.round_type == target:
                 break
             seed += 1
         forced = run_pre_rspv(
-            adv.honest(),
+            HONEST,
             ("align", target, seed),
             kappa=6,
             L=1,
@@ -155,14 +157,14 @@ def test_force_plan_keeps_rng_stream_aligned():
 
 def test_force_plan_rejects_unknown_type():
     with pytest.raises(ValueError):
-        run_pre_rspv(adv.honest(), 0, kappa=6, L=1, force_plan="prep:nope")
+        run_pre_rspv(HONEST, 0, kappa=6, L=1, force_plan="prep:nope")
 
 
 def test_honest_passes_every_plan():
     fails = 0
     for plan in ROUND_TYPES:
         for i in range(60):
-            out = run_pre_rspv(adv.honest(), ("plan", plan, i), kappa=12, L=2, force_plan=plan)
+            out = run_pre_rspv(HONEST, ("plan", plan, i), kappa=12, L=2, force_plan=plan)
             assert out.round_type == plan
             fails += not out.flag
             if plan == "comp" and out.flag:
@@ -179,7 +181,7 @@ def test_suffix_zero_is_the_only_honest_failure():
     # survives it must have deterministic parity 0 on the unphased helper
     n, bad_suffix = 4000, 0
     for i in range(n):
-        s = open_session(adv.honest(), ("sz", i), 2, 0)
+        s = open_session(HONEST, ("sz", i), 2, 0)
         assert run_setup(s)
         ok, parity = run_hadamard_test(s, HELPER, s.keys[HELPER], None, None)
         if not ok:
@@ -195,7 +197,7 @@ def test_inph_delta_zero_and_four_are_deterministic():
     for delta in (0, 4):
         fails = skipped = 0
         for i in range(200):
-            s = open_session(adv.honest(), ("d", delta, i), 12, 1)
+            s = open_session(HONEST, ("d", delta, i), 12, 1)
             assert run_setup(s)
             if not run_add_phase(s):
                 skipped += 1  # helper hit the 2^-kappa zero-suffix event
@@ -209,7 +211,7 @@ def test_inph_delta_zero_and_four_are_deterministic():
 def test_inph_delta_one_wins_at_cos_squared_rate():
     n, wins, formed = 3000, 0, 0
     for i in range(n):
-        s = open_session(adv.honest(), ("quiz", i), 10, 1)
+        s = open_session(HONEST, ("quiz", i), 10, 1)
         assert run_setup(s)
         if not run_add_phase(s):
             continue
@@ -227,7 +229,7 @@ def test_inph_delta_one_wins_at_cos_squared_rate():
 
 
 def test_setup_leaves_server_holding_the_claws():
-    s = open_session(adv.honest(), "claws", 8, 3)
+    s = open_session(HONEST, "claws", 8, 3)
     assert run_setup(s)
     assert set(s.server.gadgets) == {HELPER, 0, 1, 2, 3}
     for idx, kp in s.keys.items():
@@ -235,7 +237,7 @@ def test_setup_leaves_server_holding_the_claws():
 
 
 def test_add_phase_consumes_helper_and_rotates_outputs():
-    s = open_session(adv.honest(), "burn", 10, 2)
+    s = open_session(HONEST, "burn", 10, 2)
     assert run_setup(s) and run_add_phase(s)
     assert HELPER not in s.server.gadgets
     assert set(s.server.gadgets) == {0, 1, 2}
@@ -248,7 +250,7 @@ def test_add_phase_consumes_helper_and_rotates_outputs():
 def test_fold_tracks_server_key_pair_and_phase():
     crossed_seen = False
     for i in range(50):
-        s = open_session(adv.honest(), ("fold", i), 8, 3)
+        s = open_session(HONEST, ("fold", i), 8, 3)
         assert run_setup(s)
         if not run_add_phase(s):
             continue
@@ -271,7 +273,7 @@ def test_bn_round_passes_under_both_coins():
     for coin in ("std", "had"):
         fails = 0
         for i in range(100):
-            s = open_session(adv.honest(), ("bn", coin, i), 10, 3)
+            s = open_session(HONEST, ("bn", coin, i), 10, 3)
             assert run_setup(s)
             if not run_add_phase(s):
                 continue
@@ -281,7 +283,7 @@ def test_bn_round_passes_under_both_coins():
 
 def test_comp_round_decodes_exactly():
     for i in range(30):
-        s = open_session(adv.honest(), ("comp", i), 8, 4)
+        s = open_session(HONEST, ("comp", i), 8, 4)
         assert run_setup(s)
         if not run_add_phase(s):
             continue
@@ -300,7 +302,7 @@ def test_forced_comp_transcript_step_sequence():
     seed = 0
     while True:  # the rare zero-suffix helper event would truncate the flow
         out = run_pre_rspv(
-            adv.honest(), ("inv", seed), kappa=8, L=2, force_plan="comp", collect_transcript=True
+            HONEST, ("inv", seed), kappa=8, L=2, force_plan="comp", collect_transcript=True
         )
         if out.flag:
             break
@@ -325,7 +327,7 @@ def test_forced_comp_transcript_step_sequence():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32), plan=st.sampled_from(ROUND_TYPES))
 def test_outcome_shape(seed, plan):
-    out = run_pre_rspv(adv.honest(), ("shape", seed), kappa=6, L=1, force_plan=plan)
+    out = run_pre_rspv(HONEST, ("shape", seed), kappa=6, L=1, force_plan=plan)
     assert out.round_type == plan
     assert isinstance(out.flag, bool)
     if plan == "prep:inph":
@@ -340,5 +342,5 @@ def test_outcome_shape(seed, plan):
 def test_corrupt_setup_is_contained():
     # tampered images must fail the session, never escape as an exception
     for i in range(200):
-        out = run_pre_rspv(adv.corrupt_setup(), ("cs", i), kappa=4, L=1)
+        out = run_pre_rspv(adv.parse_strategy("corrupt_setup"), ("cs", i), kappa=4, L=1)
         assert out.flag is False

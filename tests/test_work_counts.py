@@ -18,6 +18,7 @@ import cvqcsim.protocol as protocol
 from cvqcsim.bits import Bits
 from cvqcsim.protocol import ROUND_TYPES, run_pre_rspv
 
+HONEST = adv.parse_strategy("honest")
 STRATEGIES = ("honest", "conjugate", "ghz_collapse", "random_response", "corrupt_setup")
 
 
@@ -44,7 +45,7 @@ def test_one_trapdoor_inversion_per_setup_block(counts):
     L = 8
     for i, plan in enumerate(ROUND_TYPES):
         tally.clear()
-        out = run_pre_rspv(adv.honest(), f"dec-{i}", kappa=16, L=L, force_plan=plan)
+        out = run_pre_rspv(HONEST, f"dec-{i}", kappa=16, L=L, force_plan=plan)
         assert out.round_type == plan
         assert tally["dec"] == L + 2  # helper, test gadget 0, outputs 1..L
 
@@ -59,7 +60,7 @@ def test_no_payload_or_token_work_unless_recording(counts):
     assert tally == Counter()
     # the same sessions recorded do reach both counters
     for plan in ("prep:coph", "comp"):
-        run_pre_rspv(adv.honest(), f"lazy-{plan}", kappa=8, L=3, force_plan=plan, collect_transcript=True)
+        run_pre_rspv(HONEST, f"lazy-{plan}", kappa=8, L=3, force_plan=plan, collect_transcript=True)
     assert tally["payload"] > 0 and tally["token"] > 0
 
 
@@ -72,7 +73,7 @@ def test_prf_calls_per_gadget_are_linear_in_L(counts):
     for L, sessions in ((128, 4), (512, 1)):
         tally.clear()
         for i in range(sessions):
-            run_pre_rspv(adv.honest(), f"lin-{L}-{i}", kappa=16, L=L, force_plan="comp")
+            run_pre_rspv(HONEST, f"lin-{L}-{i}", kappa=16, L=L, force_plan="comp")
         gadgets = L * sessions
         per_gadget[L] = {k: tally[k] / gadgets for k in ("ntcf", "oracle")}
         # 4 Feistel rounds per block: dec finds eval_claw's rounds in the key's memo
@@ -123,7 +124,7 @@ def test_tampered_image_pays_for_its_own_rounds(counts, monkeypatch):
         return decoded[-1]
 
     monkeypatch.setattr(protocol, "dec", recording_dec)
-    out = run_pre_rspv(adv.corrupt_setup(), "tamper", kappa=16, L=8)
+    out = run_pre_rspv(adv.parse_strategy("corrupt_setup"), "tamper", kappa=16, L=8)
     assert not out.flag
     assert decoded == [None]
     assert tally["ntcf"] == 7
@@ -135,7 +136,7 @@ def test_one_prf_key_per_ntcf_block(counts):
     L = 8
     for plan in ROUND_TYPES:
         tally.clear()
-        run_pre_rspv(adv.honest(), f"key-{plan}", kappa=16, L=L, force_plan=plan)
+        run_pre_rspv(HONEST, f"key-{plan}", kappa=16, L=L, force_plan=plan)
         assert tally["prf_key"] == L + 2  # keygen only; eval_claw and dec reuse the key's state
 
 
@@ -147,7 +148,7 @@ def test_oracle_memo_holds_nothing_the_collector_tracks(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(protocol, "RandomOracle", recording)
-    run_pre_rspv(adv.honest(), "gc-64", kappa=16, L=64, force_plan="comp")
+    run_pre_rspv(HONEST, "gc-64", kappa=16, L=64, force_plan="comp")
     gc.collect()
     (memo,) = [o.cache for o in made]
     assert len(memo) > 1000
