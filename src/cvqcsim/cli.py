@@ -141,6 +141,12 @@ def _resolve_amplify(args) -> None:
     if args.config:
         with open(args.config) as f:
             raw = json.load(f)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {raw!r}")
+        for key in ("L", "kappa", "N_temp", "N_rspv", "win_slack"):
+            kind, what = ((int, float), "a number") if key == "win_slack" else (int, "an integer")
+            if key in raw and (isinstance(raw[key], bool) or not isinstance(raw[key], kind)):
+                raise ValueError(f"config {key} must be {what}, got {raw[key]!r}")
         args.L = raw.get("L", args.L)
         args.kappa = raw.get("kappa", args.kappa)
         if "seed" in raw:
@@ -264,10 +270,9 @@ def _check_input(args) -> None:
         check_size(args.L, args.kappa)
     elif args.cmd == "bench":
         check_size(args.L_grid[0], args.kappa)
-    if args.cmd == "stats" and args.sessions < 1:
-        raise ValueError(f"sessions must be >= 1, got {args.sessions}")
-    if args.cmd == "bench" and args.sessions_per_l < 1:
-        raise ValueError(f"sessions-per-l must be >= 1, got {args.sessions_per_l}")
+    for cmd, name in (("stats", "sessions"), ("stats", "workers"), ("bench", "sessions_per_l")):
+        if args.cmd == cmd and getattr(args, name) < 1:
+            raise ValueError(f"{name.replace('_', '-')} must be >= 1, got {getattr(args, name)}")
 
 
 def main(argv=None) -> int:

@@ -140,11 +140,12 @@ def estimate_rates(
     With workers > 1, sessions fan out over a process pool; the strategy is
     shipped as its spec dict and rebuilt per worker, and since every session
     seed comes from the master seed by counter, the aggregate is identical
-    to the serial run.  Raises ValueError on L < 1, kappa < 4 or sessions < 1.
+    to the serial run.  Raises ValueError on L < 1, kappa < 4, or sessions
+    or workers < 1.
     """
     check_size(L, kappa)
-    if sessions < 1:
-        raise ValueError("sessions must be >= 1")
+    if min(sessions, workers) < 1:
+        raise ValueError(f"sessions and workers must be >= 1, got {sessions} and {workers}")
     master = master_seed_from(rng)
     t0 = time.perf_counter()
     if workers > 1:

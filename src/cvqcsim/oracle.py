@@ -18,7 +18,10 @@ checked to fit 32 bits, so distinct queries get distinct keys, and the memo
 holds nothing the cyclic garbage collector has to track.
 
 One oracle instance per protocol session; sessions are independent
-experiments, so nothing is shared across them.
+experiments, so nothing is shared across them.  The memo holds only the live
+exchange: once the server has answered a lookup table, nothing reads that
+table's entries again, so the protocol (``run_add_phase`` per phase table,
+``_fold`` per combine table) calls ``forget`` and the memo stays O(1) in L.
 """
 
 from __future__ import annotations
@@ -85,6 +88,10 @@ class RandomOracle:
                 raise ValueError(f"outLen {out_len} outside [1, |input|^2] for |input|={width}")
             hit = self.cache[key] = _stream_bits(self.keyed, inp, out_len)
         return hit
+
+    def forget(self) -> None:
+        """Empty the memo; no output changes, as entries are pure functions."""
+        self.cache.clear()
 
 
 def fresh_pad(rng: Random, kappa: int) -> Bits:

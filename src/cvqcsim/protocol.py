@@ -28,7 +28,9 @@ session master seed — so a session is a pure function of (strategy, seed),
 which is what makes transcript replay byte-exact.
 
 What the sub-rounds share (server, transcript, oracle, client stream, sizes,
-and the client's keys and phases) lives on one ``ClientSession``.
+and the client's keys and phases) lives on one ``ClientSession``.  The oracle
+memo holds only the live exchange: ``run_add_phase`` and ``_fold`` call
+``oracle.forget()`` as soon as the server has answered each table.
 ``open_session`` is the only place that derives the oracle, client and server
 streams from a seed.  Each sub-round is a module-level function of the session
 plus its own round arguments, so tests can open a session, run ``run_setup``
@@ -238,6 +240,7 @@ def run_add_phase(s: ClientSession) -> bool:
         if tr.recording:
             tr.say("client", "phase.table", {"idx": i, "table": table_payload(table)})
         server.receive_phase_table(i, table)
+        oracle.forget()
     ok, parity = run_hadamard_test(s, HELPER, helper, None, None)
     return ok and parity == 0
 
@@ -263,6 +266,7 @@ def _fold(s: ClientSession, base: int, others: list[int]) -> tuple[KeyPair, Phas
         if tr.recording:
             tr.say("client", "combine.table", {"base": base, "other": i, "table": table_payload(table)})
         r = server.respond_combine(base, i, table)
+        oracle.forget()
         if tr.recording:
             tr.say("server", "reply.combine", {"r": r.token()})
         if r == r0:

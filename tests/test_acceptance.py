@@ -7,6 +7,7 @@ verdict is reproducible bit for bit.
 """
 
 import math
+import os
 from collections import Counter
 from random import Random
 
@@ -43,8 +44,10 @@ HONEST = adv.parse_strategy("honest")
 
 @pytest.fixture(scope="module")
 def dispatch_report():
-    # shared 10^5-session honest run for criteria 1 and 2
-    return estimate_rates(8, 16, 100_000, HONEST, b"acceptance-criteria-1-2")
+    # shared 10^5-session honest run for criteria 1 and 2; counts are the
+    # serial run's whatever the worker count, since seeds come by counter
+    workers = min(2, os.cpu_count() or 1)
+    return estimate_rates(8, 16, 100_000, HONEST, b"acceptance-criteria-1-2", workers=workers)
 
 
 def test_accept_01_honest_quiz_win_rate(dispatch_report):

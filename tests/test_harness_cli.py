@@ -124,6 +124,12 @@ def test_estimate_rates_rejects_empty_run():
         estimate_rates(1, 8, 0, HONEST, 1)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_estimate_rates_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers"):
+        estimate_rates(1, 8, 10, HONEST, 1, workers=workers)
+
+
 @pytest.mark.parametrize("L, kappa, sessions", [(0, 8, 10), (-1, 8, 10), (2, 1, 10), (2, 3, 10), (2, 8, 0)])
 def test_estimate_rates_rejects_degenerate_sizes(L, kappa, sessions):
     with pytest.raises(ValueError):
@@ -204,6 +210,13 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys):
     assert "L must be" in _cli_error(["amplify", "--L", "0", "--n-temp", "10"], capsys)
     assert "kappa" in _cli_error(["bench", "--kappa", "1", "--L-grid", "1,2"], capsys)
     assert "sessions-per-l" in _cli_error(["bench", "--sessions-per-l", "0", "--L-grid", "1"], capsys)
+    for workers in ("0", "-3"):
+        assert "workers" in _cli_error(["stats", "--workers", workers, "--sessions", "5"], capsys)
+    for raw, key in (({"L": "3"}, "L"), ({"kappa": 8.5}, "kappa"), ({"N_temp": 5.5}, "N_temp"),
+                     ({"N_rspv": True}, "N_rspv"), ({"win_slack": "0.1"}, "win_slack"), ([1, 2], "object")):
+        cfg = tmp_path / "bad_type.json"
+        cfg.write_text(json.dumps(raw))
+        assert key in _cli_error(["amplify", "--config", str(cfg)], capsys)
 
 
 def test_cli_internal_errors_keep_their_traceback(monkeypatch):

@@ -141,15 +141,66 @@ def test_one_prf_key_per_ntcf_block(counts):
 
 
 def test_oracle_memo_holds_nothing_the_collector_tracks(monkeypatch):
-    made = []
+    # the memo is emptied after every table, so inspect each entry as
+    # ``forget`` drops it, plus whatever is left at the session's end
+    made, seen = [], []
+    forget = oracle.RandomOracle.forget
 
     def recording(seed):
         made.append(oracle.RandomOracle(seed))
         return made[-1]
 
+    def inspecting(self):
+        seen.extend(self.cache.items())
+        forget(self)
+
     monkeypatch.setattr(protocol, "RandomOracle", recording)
+    monkeypatch.setattr(oracle.RandomOracle, "forget", inspecting)
     run_pre_rspv(HONEST, "gc-64", kappa=16, L=64, force_plan="comp")
-    gc.collect()
     (memo,) = [o.cache for o in made]
-    assert len(memo) > 1000
-    assert not any(gc.is_tracked(k) or gc.is_tracked(v) for k, v in memo.items())
+    seen.extend(memo.items())
+    gc.collect()
+    assert len(seen) > 1000
+    assert not any(gc.is_tracked(k) or gc.is_tracked(v) for k, v in seen)
+
+
+@pytest.mark.parametrize("plan", ["prep:coph", "prep:bn"])
+@pytest.mark.parametrize("L", [64, 512])
+def test_oracle_memo_holds_only_the_live_table(monkeypatch, plan, L):
+    # one table's entries at a time, however many gadgets the fold crosses:
+    # measured at every forget and once more at the session's end
+    made, sizes = [], []
+    forget = oracle.RandomOracle.forget
+
+    def recording(seed):
+        made.append(oracle.RandomOracle(seed))
+        return made[-1]
+
+    def measuring(self):
+        sizes.append(len(self.cache))
+        forget(self)
+
+    monkeypatch.setattr(protocol, "RandomOracle", recording)
+    monkeypatch.setattr(oracle.RandomOracle, "forget", measuring)
+    out = run_pre_rspv(HONEST, f"memo-{plan}-{L}", kappa=16, L=L, force_plan=plan)
+    assert out.flag
+    assert len(sizes) > L + 1  # one forget per phase table, one per combine table
+    sizes.extend(len(o.cache) for o in made)
+    assert max(sizes) <= 64, max(sizes)
+
+
+def test_forgotten_entries_are_never_recomputed(counts, monkeypatch):
+    # forget drops only entries nothing reads again: one PRF stream per key
+    tally, patch = counts
+    patch(oracle, "_stream_bits", "oracle")
+    keys = set()
+    query = oracle.RandomOracle.query
+
+    def keyed(self, inp, out_len):
+        keys.add((*inp, out_len))
+        return query(self, inp, out_len)
+
+    monkeypatch.setattr(oracle.RandomOracle, "query", keyed)
+    out = run_pre_rspv(HONEST, "recompute-512", kappa=16, L=512, force_plan="prep:coph")
+    assert out.flag
+    assert tally["oracle"] == len(keys) > 0
