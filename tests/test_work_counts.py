@@ -140,25 +140,36 @@ def test_one_prf_key_per_ntcf_block(counts):
         assert tally["prf_key"] == L + 2  # keygen only; eval_claw and dec reuse the key's state
 
 
-def test_oracle_memo_holds_nothing_the_collector_tracks(monkeypatch):
-    # the memo is emptied after every table, so inspect each entry as
-    # ``forget`` drops it, plus whatever is left at the session's end
-    made, seen = [], []
+@pytest.fixture
+def memos(monkeypatch):
+    """(oracles the sessions open, hooks called on each memo just before
+    ``forget`` empties it)."""
+    made, hooks = [], []
     forget = oracle.RandomOracle.forget
 
     def recording(seed):
         made.append(oracle.RandomOracle(seed))
         return made[-1]
 
-    def inspecting(self):
-        seen.extend(self.cache.items())
+    def watched(self):
+        for hook in hooks:
+            hook(self.cache)
         forget(self)
 
     monkeypatch.setattr(protocol, "RandomOracle", recording)
-    monkeypatch.setattr(oracle.RandomOracle, "forget", inspecting)
+    monkeypatch.setattr(oracle.RandomOracle, "forget", watched)
+    return made, hooks
+
+
+def test_oracle_memo_holds_nothing_the_collector_tracks(memos):
+    # the memo is emptied after every table, so inspect each entry as
+    # ``forget`` drops it, plus whatever is left at the session's end
+    made, hooks = memos
+    seen = []
+    hooks.append(lambda memo: seen.extend(memo.items()))
     run_pre_rspv(HONEST, "gc-64", kappa=16, L=64, force_plan="comp")
-    (memo,) = [o.cache for o in made]
-    seen.extend(memo.items())
+    (last,) = made
+    seen.extend(last.cache.items())
     gc.collect()
     assert len(seen) > 1000
     assert not any(gc.is_tracked(k) or gc.is_tracked(v) for k, v in seen)
@@ -166,22 +177,12 @@ def test_oracle_memo_holds_nothing_the_collector_tracks(monkeypatch):
 
 @pytest.mark.parametrize("plan", ["prep:coph", "prep:bn"])
 @pytest.mark.parametrize("L", [64, 512])
-def test_oracle_memo_holds_only_the_live_table(monkeypatch, plan, L):
+def test_oracle_memo_holds_only_the_live_table(memos, plan, L):
     # one table's entries at a time, however many gadgets the fold crosses:
     # measured at every forget and once more at the session's end
-    made, sizes = [], []
-    forget = oracle.RandomOracle.forget
-
-    def recording(seed):
-        made.append(oracle.RandomOracle(seed))
-        return made[-1]
-
-    def measuring(self):
-        sizes.append(len(self.cache))
-        forget(self)
-
-    monkeypatch.setattr(protocol, "RandomOracle", recording)
-    monkeypatch.setattr(oracle.RandomOracle, "forget", measuring)
+    made, hooks = memos
+    sizes = []
+    hooks.append(lambda memo: sizes.append(len(memo)))
     out = run_pre_rspv(HONEST, f"memo-{plan}-{L}", kappa=16, L=L, force_plan=plan)
     assert out.flag
     assert len(sizes) > L + 1  # one forget per phase table, one per combine table
