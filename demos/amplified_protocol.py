@@ -34,7 +34,7 @@ def main():
     for rep in range(3):
         res = run_pre_rspv_temp(L, KAPPA, CFG, adv.parse_strategy("honest"), Random(f"amp-h-{rep}"))
         picked = f"picked #{res.picked}" if res.picked is not None else "no pick"
-        kind = res.round_type or "not comp"
+        kind = "comp" if res.outputs is not None else "not comp"
         print(f"honest temp {rep}: flag={res.flag} wins={res.wins:3d} {picked} ({kind})")
     for rep in range(3):
         res = run_pre_rspv_temp(L, KAPPA, CFG, adv.parse_strategy("always_lose"), Random(f"amp-a-{rep}"))

@@ -53,6 +53,7 @@ from .gadget import (
     dephase,
     hadamard_sample,
     make_gadget,
+    merge_keys,
     rotate_branches,
     std_sample,
 )
@@ -63,6 +64,8 @@ from .tables import LookupTable, decrypt_row
 HELPER = -1  # gadget index of the helper block; output gadgets are 1..L, test gadget is 0
 
 OPT = COS2_TABLE[1] / 3  # (1/3) cos^2(pi/8): the optimal quiz win rate
+
+_NO_KEYS = KeyPair(Bits(0, 0), Bits(0, 0))  # the empty register a GHZ merge starts from
 
 
 class ServerSession:
@@ -207,31 +210,29 @@ class GhzSession(ServerSession):
 
     def __init__(self, oracle, rng, kappa):
         super().__init__(oracle, rng, kappa)
-        self.merged: dict[int, int] | None = None  # gadget idx -> slot
-        self.joint: Gadget | None = None
+        self.outputs: dict[int, KeyPair] = {}  # each merged output's own key pair
+        self.joint: Gadget | None = None  # the register's amplitudes; keys come per answer
         self.collapsed: int | None = None
         self.folded: list[int] = []
 
     def _merge(self) -> None:
-        idxs = sorted(i for i in self.gadgets if i >= 1)
-        slots = {}
-        k0 = k1 = Bits(0, 0)
         a0, a1 = complex(1, 0), complex(1, 0)
-        for slot, i in enumerate(idxs):
+        for i in sorted(i for i in self.gadgets if i >= 1):
             g = self.gadgets.pop(i)
-            slots[i] = slot
-            k0, k1 = k0.concat(g.keys.x0), k1.concat(g.keys.x1)
+            self.outputs[i] = g.keys
             a0, a1 = a0 * g.amp0, a1 * g.amp1
             # renormalise per gadget: a product of L factors 2^-1/2 underflows
             scale = (abs(a0) ** 2 + abs(a1) ** 2) ** -0.5
             a0, a1 = a0 * scale, a1 * scale
-        self.joint = Gadget(KeyPair(k0, k1), a0, a1)
-        self.merged = slots
+        self.joint = Gadget(_NO_KEYS, a0, a1)
 
-    def _slice(self, b: int, idx: int) -> Bits:
-        key = self.joint.keys[b]
-        hi = key.width - self.merged[idx] * self.kappa
-        return Bits((key.value >> (hi - self.kappa)) & ((1 << self.kappa) - 1), self.kappa)
+    def _register(self, order: list[int]) -> Gadget:
+        """The joint register over the outputs in `order`, its branches
+        aligned: each branch key concatenates the outputs' same-subscript keys."""
+        keys = _NO_KEYS
+        for j in order:
+            keys = merge_keys(keys, self.outputs[j], 0)
+        return self.joint._replace(keys=keys)
 
     def dephase_reveal(self, idx, revealed):
         if idx >= 1:
@@ -249,46 +250,33 @@ class GhzSession(ServerSession):
         return self.collapsed
 
     def respond_std(self, indices):
-        if self.joint is None:
-            return super().respond_std(indices)
         out = []
         for idx in indices:
-            if idx in self.merged:
-                b = self._collapse()
-                if self.folded and idx == self.folded[0]:
-                    key = Bits(0, 0)
-                    for j in self.folded:
-                        key = key.concat(self._slice(b, j))
-                    out.append(key)
-                else:
-                    out.append(self._slice(b, idx))
+            if idx in self.outputs:
+                order = self.folded if self.folded and idx == self.folded[0] else [idx]
+                out.append(self._register(order).keys[self._collapse()])
             else:
-                g = self.gadgets.pop(idx)
-                out.append(std_sample(g, self.rng)[1])
+                out.append(std_sample(self.gadgets.pop(idx), self.rng)[1])
         return out
 
     def respond_combine(self, base, other, table):
-        if self.joint is None or base not in (self.merged or {}):
+        if base not in self.outputs:
             return super().respond_combine(base, other, table)
         if not self.folded:
             self.folded = [base]
-        key = self._slice(0, self.folded[0]).concat(self._slice(0, other))
+        key = self.outputs[self.folded[0]].x0.concat(self.outputs[other].x0)
         hit = decrypt_row(table, key, self.oracle)
         self.folded.append(other)
         return Bits(hit[1] if hit else 0, self.kappa)
 
     def respond_hadamard(self, idx, pad):
-        if self.joint is None or idx not in (self.merged or {}):
+        if idx not in self.outputs:
             return super().respond_hadamard(idx, pad)
-        width = (len(self.folded) or 1) * self.kappa + self.kappa
+        g = self._register(self.folded or [idx])
         if self.collapsed is not None:
             # single branch left: Hadamard outcome is uniform
+            width = g.keys.x0.width + self.kappa
             return Bits(self.rng.getrandbits(width), width)
-        order = self.folded or [idx]
-        k0 = k1 = Bits(0, 0)
-        for j in order:
-            k0, k1 = k0.concat(self._slice(0, j)), k1.concat(self._slice(1, j))
-        g = Gadget(KeyPair(k0, k1), self.joint.amp0, self.joint.amp1)
         return hadamard_sample(g, pad, self.oracle, self.rng)
 
 

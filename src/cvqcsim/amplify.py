@@ -66,8 +66,7 @@ def win_threshold(cfg: AmplificationConfig) -> float:
 @dataclass(frozen=True)
 class PreRspvTempResult:
     flag: bool
-    round_type: str | None  # "comp" if the sampled session was one, else None
-    outputs: CompOutputs | None
+    outputs: CompOutputs | None  # set iff the sampled session was a computation round
     wins: int
     sessions_run: int
     picked: int | None
@@ -86,47 +85,39 @@ class CvqcResult:
     rspv: RspvResult
 
 
-def _as_rng(rng) -> Random:
-    return rng if isinstance(rng, Random) else Random(rng)
-
-
 def run_pre_rspv_temp(
-    L: int, kappa: int, cfg: AmplificationConfig, strategy: Strategy, rng
+    L: int, kappa: int, cfg: AmplificationConfig, strategy: Strategy, rng: Random
 ) -> PreRspvTempResult:
     """One amplification block: N_temp sessions, stats checks, uniform pick."""
-    master = _as_rng(rng)
     comp_outputs: dict[int, CompOutputs | None] = {}
     wins = 0
     for i in range(cfg.n_temp):
-        out = run_pre_rspv(strategy, master.randbytes(32), kappa=kappa, L=L)
+        out = run_pre_rspv(strategy, rng.randbytes(32), kappa=kappa, L=L)
         if out.round_type == "comp":
             comp_outputs[i] = out.outputs
         if out.score:
             wins += 1
         if not out.flag:
-            return PreRspvTempResult(False, None, None, wins, i + 1, None)
+            return PreRspvTempResult(False, None, wins, i + 1, None)
     if wins <= win_threshold(cfg):
-        return PreRspvTempResult(False, None, None, wins, cfg.n_temp, None)
-    picked = master.randrange(cfg.n_temp)
-    if picked in comp_outputs:
-        return PreRspvTempResult(True, "comp", comp_outputs[picked], wins, cfg.n_temp, picked)
-    return PreRspvTempResult(True, None, None, wins, cfg.n_temp, picked)
+        return PreRspvTempResult(False, None, wins, cfg.n_temp, None)
+    picked = rng.randrange(cfg.n_temp)
+    return PreRspvTempResult(True, comp_outputs.get(picked), wins, cfg.n_temp, picked)
 
 
 def run_rspv(
-    L: int, kappa: int, cfg: AmplificationConfig, strategy: Strategy, rng
+    L: int, kappa: int, cfg: AmplificationConfig, strategy: Strategy, rng: Random
 ) -> RspvResult:
     """Repeat preRSPVTemp until a computation round is sampled.
 
     Rejection anywhere is absorbing.  Failure to hit a computation round in
     n_rspv calls (probability ~ 0.9^100 for honest runs) also rejects.
     """
-    master = _as_rng(rng)
     for t in range(cfg.n_rspv):
-        res = run_pre_rspv_temp(L, kappa, cfg, strategy, master)
+        res = run_pre_rspv_temp(L, kappa, cfg, strategy, rng)
         if not res.flag:
             return RspvResult(False, None, t + 1)
-        if res.round_type == "comp":
+        if res.outputs is not None:
             return RspvResult(True, res.outputs, t + 1)
     return RspvResult(False, None, cfg.n_rspv)
 
@@ -148,7 +139,7 @@ def run_cvqc(
     cfg: AmplificationConfig,
     strategy: Strategy,
     verifier,
-    rng,
+    rng: Random,
 ) -> CvqcResult:
     """State preparation via RSPV sized to the circuit, then the verifier.
 

@@ -56,22 +56,6 @@ class Bits(NamedTuple):
         return self.value == 0
 
 
-def make_bits(value: int, width: int) -> Bits:
-    """Validating constructor; the hot path builds Bits(...) directly."""
-    if width < 0:
-        raise ValueError(f"negative width {width}")
-    if value < 0 or value >> width:
-        raise ValueError(f"value {value} out of range for width {width}")
-    return Bits(value, width)
-
-
-def parse_token(token: str) -> Bits:
-    width_s, _, hex_s = token.partition(":")
-    width = int(width_s)
-    value = int(hex_s, 16) if hex_s else 0
-    return make_bits(value, width)
-
-
 def lowest_set_bit(b: Bits) -> int:
     """Position (from the right, 0-based) of the lowest set bit; b must be nonzero."""
     assert b.value != 0

@@ -63,13 +63,16 @@ def _grid_arg(text: str) -> list[int]:
     return grid
 
 
+_SIZE_DEFAULTS = {"L": 2, "kappa": 16}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cvqcsim", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def common(sp, sessions=False):
-        sp.add_argument("--L", type=int, default=2, help="output gadget count")
-        sp.add_argument("--kappa", type=int, default=16, help="key width in bits")
+        sp.add_argument("--L", type=int, default=_SIZE_DEFAULTS["L"], help="output gadget count")
+        sp.add_argument("--kappa", type=int, default=_SIZE_DEFAULTS["kappa"], help="key width in bits")
         sp.add_argument("--strategy", type=_strategy_arg, default=parse_strategy("honest"),
                         help='strategy name or JSON, e.g. \'{"attack":"phase_offset","g":"bump:3"}\'')
         sp.add_argument("--seed", type=_seed_arg, default=None, help="hex seed (default: fresh)")
@@ -89,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("amplify", help="amplified protocol; exit 1 on rejection")
     common(sp)
+    sp.set_defaults(L=None, kappa=None)  # a flag, else --config, else _SIZE_DEFAULTS
     sp.add_argument("--mode", choices=("rspv", "cvqc"), default="rspv")
     sp.add_argument("--config", type=str, default=None, help="JSON config file")
     sp.add_argument("--n-temp", type=int, default=None)
@@ -106,10 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    seed = args.seed if args.seed is not None else Random().randbytes(32)
     out = run_pre_rspv(
         args.strategy,
-        seed,
+        args.seed,
         kappa=args.kappa,
         L=args.L,
         force_plan=args.force_plan,
@@ -121,13 +124,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    seed = args.seed if args.seed is not None else Random().randbytes(32)
     report = estimate_rates(
         args.L,
         args.kappa,
         args.sessions,
         args.strategy,
-        seed,
+        args.seed,
         workers=args.workers,
         force_plan=args.force_plan,
     )
@@ -136,8 +138,9 @@ def cmd_stats(args) -> int:
 
 
 def _resolve_amplify(args) -> None:
-    """Merge the --config file into args (flags win) and build ``args.cfg``."""
-    cfg_fields = {}
+    """Fill each amplify setting that no flag gave from the --config file
+    (flags win), then from the defaults, and build ``args.cfg``."""
+    raw = {}
     if args.config:
         with open(args.config) as f:
             raw = json.load(f)
@@ -147,24 +150,21 @@ def _resolve_amplify(args) -> None:
             kind, what = ((int, float), "a number") if key == "win_slack" else (int, "an integer")
             if key in raw and (isinstance(raw[key], bool) or not isinstance(raw[key], kind)):
                 raise ValueError(f"config {key} must be {what}, got {raw[key]!r}")
-        args.L = raw.get("L", args.L)
-        args.kappa = raw.get("kappa", args.kappa)
         if "seed" in raw:
             if not isinstance(raw["seed"], str):
                 raise ValueError(f"config seed must be a hex string, got {raw['seed']!r}")
-            args.seed = bytes.fromhex(raw["seed"])
-        for src, dst in (("N_temp", "n_temp"), ("win_slack", "win_slack"), ("N_rspv", "n_rspv")):
-            if src in raw:
-                cfg_fields[dst] = raw[src]
-    for flag, dst in ((args.n_temp, "n_temp"), (args.win_slack, "win_slack"), (args.n_rspv, "n_rspv")):
-        if flag is not None:
-            cfg_fields[dst] = flag
-    args.cfg = amp.AmplificationConfig(**cfg_fields)
+            raw["seed"] = bytes.fromhex(raw["seed"])
+    for key, name in (("L", "L"), ("kappa", "kappa"), ("seed", "seed"),
+                      ("N_temp", "n_temp"), ("win_slack", "win_slack"), ("N_rspv", "n_rspv")):
+        if getattr(args, name) is None:
+            setattr(args, name, raw.get(key, _SIZE_DEFAULTS.get(name)))
+    fields = {name: getattr(args, name) for name in ("n_temp", "win_slack", "n_rspv")}
+    args.cfg = amp.AmplificationConfig(**{k: v for k, v in fields.items() if v is not None})
 
 
 def cmd_amplify(args) -> int:
     L, kappa, cfg = args.L, args.kappa, args.cfg
-    master = master_seed_from(args.seed if args.seed is not None else Random().randbytes(32))
+    master = master_seed_from(args.seed)
     rng = Random(master)
     if args.mode == "rspv":
         res = amp.run_rspv(L, kappa, cfg, args.strategy, rng)
@@ -186,8 +186,7 @@ def cmd_amplify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    seed = args.seed if args.seed is not None else Random().randbytes(32)
-    report = scaling_bench(args.kappa, args.L_grid, args.sessions_per_l, seed)
+    report = scaling_bench(args.kappa, args.L_grid, args.sessions_per_l, args.seed)
     sys.stdout.write(report.to_json())
     return 0
 
@@ -290,6 +289,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:  # json.JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if getattr(args, "seed", b"") is None:  # no --seed (nor config seed): a fresh one
+        args.seed = Random().randbytes(32)
     return handler(args)
 
 

@@ -65,6 +65,9 @@ COS2_TABLE = (1.0, _C8, 0.5, _S8, 0.0, _S8, 0.5, _C8)
 # parity weights above float error); snapping keeps one-sided tests one-sided.
 _SNAP = 1e-24
 
+# An amplitude ratio this close to an 8th root of unity decodes to it.
+_DECODE_TOL = 1e-9
+
 
 class TableMismatch(Exception):
     """A lookup table did not decrypt consistently under the expected keys."""
@@ -140,10 +143,10 @@ def std_sample(g: Gadget, rng: Random) -> tuple[int, Bits]:
     return b, g.keys[b]
 
 
-def branch_words(g: Gadget, pad: Bits, oracle: RandomOracle, kappa: int) -> tuple[Bits, Bits]:
+def branch_words(keys: KeyPair, pad: Bits, oracle: RandomOracle, kappa: int) -> tuple[Bits, Bits]:
     """w_b = x_b || H(pad || x_b, kappa) — the padded-Hadamard words."""
     words = []
-    for x in g.keys:
+    for x in keys:
         h = oracle.query(((pad.value << x.width) | x.value, pad.width + x.width), kappa)
         words.append(Bits((x.value << kappa) | h, x.width + kappa))
     return words[0], words[1]
@@ -170,7 +173,7 @@ def enumerate_hadamard_distribution(g: Gadget, pad: Bits, oracle: RandomOracle, 
     Expands amp0|w0> + amp1|w1> over every outcome d; exponential, for tests
     and selftest only.
     """
-    w0, w1 = branch_words(g, pad, oracle, kappa)
+    w0, w1 = branch_words(g.keys, pad, oracle, kappa)
     n = w0.width
     norm = g.norm_sq
     out: dict[int, float] = {}
@@ -185,7 +188,7 @@ def enumerate_hadamard_distribution(g: Gadget, pad: Bits, oracle: RandomOracle, 
 def sampler_distribution(g: Gadget, pad: Bits, oracle: RandomOracle, kappa: int) -> dict[int, float]:
     """The exact law implemented by ``hadamard_sample`` (class weight times
     uniform-in-class), for direct comparison against the enumeration oracle."""
-    w0, w1 = branch_words(g, pad, oracle, kappa)
+    w0, w1 = branch_words(g.keys, pad, oracle, kappa)
     delta = w0.xor(w1)
     assert not delta.is_zero
     p = parity_probs(g)
@@ -201,7 +204,7 @@ def hadamard_sample(g: Gadget, pad: Bits, oracle: RandomOracle, rng: Random) -> 
     uniform element of {d : d.(w0 xor w1) = c} — a uniform draw with the
     pivot bit (lowest set bit of the xor) flipped on parity mismatch.
     """
-    w0, w1 = branch_words(g, pad, oracle, pad.width)
+    w0, w1 = branch_words(g.keys, pad, oracle, pad.width)
     delta = w0.xor(w1)
     assert not delta.is_zero, "branch words collide (impossible for distinct keys)"
     c = 1 if rng.random() < parity_probs(g)[1] else 0
@@ -211,6 +214,12 @@ def hadamard_sample(g: Gadget, pad: Bits, oracle: RandomOracle, rng: Random) -> 
     return d
 
 
+def merge_keys(ka: KeyPair, kb: KeyPair, crossed: int) -> KeyPair:
+    """The combine rule: the merged register's key pair pairs equal branch
+    subscripts (x0a x0b, x1a x1b), or crossed ones (x0a x1b, x1a x0b)."""
+    return KeyPair(ka.x0.concat(kb[crossed]), ka.x1.concat(kb[1 - crossed]))
+
+
 def combine_step(
     g_a: Gadget, g_b: Gadget, table: LookupTable, oracle: RandomOracle, rng: Random
 ) -> tuple[Bits, Gadget]:
@@ -218,7 +227,8 @@ def combine_step(
 
     The server decrypts the table in superposition and measures the result
     register: outcome r0 keeps equal-subscript branch pairs (x0a x0b / x1a
-    x1b), outcome r1 the crossed pairs; amplitudes multiply and renormalize.
+    x1b), outcome r1 the crossed pairs (``merge_keys``); amplitudes multiply
+    and renormalize.
     Table rows are keyed by the *first kappa bits* of the a-side branch (the
     client builds them from the base gadget's keys).
     """
@@ -236,31 +246,22 @@ def combine_step(
     if r[0, 0] != r[1, 1] or r[0, 1] != r[1, 0] or r[0, 0] == r[0, 1]:
         raise TableMismatch("table decryptions do not form a combine pattern")
 
-    pair_eq = (g_a.amp0 * g_b.amp0, g_a.amp1 * g_b.amp1)
-    pair_cr = (g_a.amp0 * g_b.amp1, g_a.amp1 * g_b.amp0)
-    w_eq = abs(pair_eq[0]) ** 2 + abs(pair_eq[1]) ** 2
-    w_cr = abs(pair_cr[0]) ** 2 + abs(pair_cr[1]) ** 2
-    take_eq = rng.random() < w_eq / (w_eq + w_cr)
-    amps, weight = (pair_eq, w_eq) if take_eq else (pair_cr, w_cr)
-    scale = 1.0 / math.sqrt(weight)
-    keys = (
-        KeyPair(g_a.keys.x0.concat(g_b.keys.x0), g_a.keys.x1.concat(g_b.keys.x1))
-        if take_eq
-        else KeyPair(g_a.keys.x0.concat(g_b.keys.x1), g_a.keys.x1.concat(g_b.keys.x0))
-    )
-    combined = Gadget(keys, amps[0] * scale, amps[1] * scale)
-    return Bits(r[0, 0] if take_eq else r[0, 1], kappa), combined
+    pairs = ((g_a.amp0 * g_b.amp0, g_a.amp1 * g_b.amp1), (g_a.amp0 * g_b.amp1, g_a.amp1 * g_b.amp0))
+    weights = [abs(p[0]) ** 2 + abs(p[1]) ** 2 for p in pairs]
+    crossed = int(rng.random() >= weights[0] / (weights[0] + weights[1]))
+    amps = pairs[crossed]
+    scale = 1.0 / math.sqrt(weights[crossed])
+    combined = Gadget(merge_keys(g_a.keys, g_b.keys, crossed), amps[0] * scale, amps[1] * scale)
+    return Bits(r[0, crossed], kappa), combined
 
 
-def decode_output(
-    gadgets: list[Gadget], revealed_keys: list[KeyPair], tol: float = 1e-9
-) -> tuple[PlusStateVector, complex]:
+def decode_output(gadgets: list[Gadget], revealed_keys: list[KeyPair]) -> tuple[PlusStateVector, complex]:
     """Honest decode: recover each theta = theta1 - theta0 from the amplitude
     ratio, yielding the product state |+_theta(1)> x ... plus a global phase.
 
     Gadget branch order must match the revealed key pairs (an X-corrected
     server swaps its branches first); a ratio off the 8th roots of unity by
-    more than `tol` means the state left honest form.
+    more than ``_DECODE_TOL`` means the state left honest form.
     """
     if len(gadgets) != len(revealed_keys):
         raise ValueError("gadget/key count mismatch")
@@ -271,7 +272,7 @@ def decode_output(
             raise TableMismatch("gadget keys do not match revealed pair")
         ratio = g.amp1 / g.amp0
         for k in range(8):
-            if abs(ratio - ROOT8[k]) <= tol:
+            if abs(ratio - ROOT8[k]) <= _DECODE_TOL:
                 thetas.append(k)
                 break
         else:

@@ -19,7 +19,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from random import Random
 
 from .adversary import Strategy, parse_strategy
@@ -91,26 +91,12 @@ class ExperimentReport:
         }
 
     def to_dict(self, timing: bool = False) -> dict:
-        out = {
-            "strategy": self.strategy,
-            "kappa": self.kappa,
-            "L": self.L,
-            "sessions": self.sessions,
-            "seed": self.seed,
-            "force_plan": self.force_plan,
-            "round_counts": {k: self.round_counts[k] for k in sorted(self.round_counts)},
-            "bucket_counts": {b: self.bucket_counts[b] for b in BUCKETS},
-            "pass_count": self.pass_count,
-            "quiz_count": self.quiz_count,
-            "win_count": self.win_count,
-            "comp_count": self.comp_count,
-            "comp_decoded": self.comp_decoded,
-            "comp_fidelity_mean": self.comp_fidelity_mean,
-            "rates_95": {k: list(v) for k, v in self.rates().items()},
-        }
+        out = asdict(self)
+        elapsed = out.pop("elapsed_s")
+        out["rates_95"] = {k: list(v) for k, v in self.rates().items()}
         if timing:
-            out["elapsed_s"] = self.elapsed_s
-            out["per_session_s"] = self.elapsed_s / max(1, self.sessions)
+            out["elapsed_s"] = elapsed
+            out["per_session_s"] = elapsed / max(1, self.sessions)
         return out
 
     def to_json(self, timing: bool = False) -> str:
@@ -187,7 +173,7 @@ def estimate_rates(
         sessions=sessions,
         seed=master.hex(),
         force_plan=force_plan,
-        round_counts=round_counts,
+        round_counts=dict(sorted(round_counts.items())),
         bucket_counts=bucket_counts,
         pass_count=pass_count,
         quiz_count=quiz_count,
@@ -207,17 +193,8 @@ class BenchReport:
     rows: list[dict]  # {"L": int, "median_s": float}
     doubling_ratios: list[float]  # time ratio per L doubling, normalized by L ratio
 
-    def to_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "sessions_per_l": self.sessions_per_l,
-            "seed": self.seed,
-            "rows": self.rows,
-            "doubling_ratios": self.doubling_ratios,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":")) + "\n"
+        return json.dumps(asdict(self), separators=(",", ":")) + "\n"
 
 
 def scaling_bench(kappa: int, l_grid: list[int], sessions_per_l: int, rng) -> BenchReport:
@@ -229,7 +206,9 @@ def scaling_bench(kappa: int, l_grid: list[int], sessions_per_l: int, rng) -> Be
     and ``median_s`` is the median per L.  Host speed drifts over a run;
     timing each L as one block in turn put that drift between the rows and
     into the doubling ratios, while a pass spreads it over all of them.
-    Timing is the payload here, so bench reports are exempt from
+    Row seconds are wall time, not scaled to host speed, so only the
+    doubling ratios within one run compare; rows of two runs or commits do
+    not.  Timing is the payload here, so bench reports are exempt from
     byte-replay.
     """
     if list(l_grid) != sorted(l_grid) or len(l_grid) < 1:

@@ -49,8 +49,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from .adversary import HELPER, ServerSession, Strategy
-from .bits import Bits
-from .gadget import KeyPair, PhasePair, PlusStateVector, TableMismatch, fidelity_ideal
+from .gadget import KeyPair, PhasePair, PlusStateVector, TableMismatch, branch_words, fidelity_ideal, merge_keys
 from .ntcf import claw_partner, dec, eval_claw, keygen
 from .oracle import RandomOracle, fresh_pad
 from .tables import TagCollision, make_combine_table, make_phase_table, table_payload
@@ -216,10 +215,8 @@ def run_hadamard_test(
         tr.say("server", "reply.hadamard", {"idx": idx, "d": d.token()})
     if d.width != keys.x0.width + kappa or d.suffix(kappa).is_zero:
         return False, None
-    x0, x1 = keys
-    h0 = s.oracle.query(pad.concat(x0), kappa)
-    h1 = s.oracle.query(pad.concat(x1), kappa)
-    return True, d.parity_with(Bits(((x0.value ^ x1.value) << kappa) | (h0 ^ h1), d.width))
+    w0, w1 = branch_words(keys, pad, s.oracle, kappa)
+    return True, d.parity_with(w0.xor(w1))
 
 
 def run_add_phase(s: ClientSession) -> bool:
@@ -250,7 +247,8 @@ def _fold(s: ClientSession, base: int, others: list[int]) -> tuple[KeyPair, Phas
     key pair and branch phases of the merged gadget.  Tables are keyed on the
     base gadget's original keys (the first kappa bits of the merged register)
     crossed with the incoming gadget's keys; the server's reply says which
-    pairing survived.  Returns None as soon as a reply is off-table."""
+    pairing survived (r1: crossed subscripts), and the phases pair up like
+    the keys.  Returns None as soon as a reply is off-table."""
     server, tr, oracle, rng, kappa, keys, thetas = (
         s.server, s.tr, s.oracle, s.rng, s.kappa, s.keys, s.thetas
     )
@@ -269,14 +267,11 @@ def _fold(s: ClientSession, base: int, others: list[int]) -> tuple[KeyPair, Phas
         oracle.forget()
         if tr.recording:
             tr.say("server", "reply.combine", {"r": r.token()})
-        if r == r0:
-            kk = KeyPair(kk.x0.concat(ki.x0), kk.x1.concat(ki.x1))
-            tt = PhasePair((tt.theta0 + ti.theta0) % 8, (tt.theta1 + ti.theta1) % 8)
-        elif r == r1:
-            kk = KeyPair(kk.x0.concat(ki.x1), kk.x1.concat(ki.x0))
-            tt = PhasePair((tt.theta0 + ti.theta1) % 8, (tt.theta1 + ti.theta0) % 8)
-        else:
+        if r != r0 and r != r1:
             return None
+        crossed = int(r == r1)
+        kk = merge_keys(kk, ki, crossed)
+        tt = PhasePair((tt.theta0 + ti[crossed]) % 8, (tt.theta1 + ti[1 - crossed]) % 8)
     return kk, tt
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from random import Random
 from typing import NamedTuple
 
-from .bits import Bits, parse_token, token_format
+from .bits import Bits, token_format
 from .oracle import RandomOracle
 
 Z8 = "Z8"
@@ -193,21 +193,3 @@ def table_payload(table: LookupTable) -> dict:
     ]
     return {"rows": rows, "group": table.group}
 
-
-def table_from_payload(payload: dict) -> LookupTable:
-    """Inverse of ``table_payload``; kappa is the tags' width, and every
-    token must have it."""
-    group = payload["group"]
-    kappa = parse_token(payload["rows"][0]["tag"]).width if payload["rows"] else 0
-
-    def value(token: str) -> int:
-        b = parse_token(token)
-        if b.width != kappa:
-            raise ValueError(f"token {token!r} is not {kappa} bits wide")
-        return b.value
-
-    rows = tuple(
-        Ciphertext(value(r["R"]), r["ct"] if group == Z8 else value(r["ct"]), value(r["Rp"]), value(r["tag"]))
-        for r in payload["rows"]
-    )
-    return LookupTable(rows, group, kappa)

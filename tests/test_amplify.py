@@ -113,7 +113,11 @@ def test_temp_honest_accepts():
             assert res.sessions_run == FAST.n_temp
             assert res.wins > win_threshold(FAST)
             assert res.picked in range(FAST.n_temp)
-            assert (res.round_type == "comp") == (res.outputs is not None)
+            # replay the picked session: outputs come back iff it was a comp round
+            seeds = Random(f"temp-{rep}")
+            seed = [seeds.randbytes(32) for _ in range(res.picked + 1)][-1]
+            picked = run_pre_rspv(HONEST, seed, kappa=16, L=1)
+            assert (picked.round_type == "comp") == (res.outputs is not None)
             if res.outputs is not None:
                 assert res.outputs.fidelity() == 1.0
     assert accepted >= 9, accepted
@@ -159,7 +163,7 @@ def test_rspv_without_comp_pick_rejects():
     for cand in range(50):
         master = Random(f"nc-{cand}")
         temps = [run_pre_rspv_temp(1, 16, cfg, HONEST, master) for _ in range(2)]
-        if all(t.flag and t.round_type is None for t in temps):
+        if all(t.flag and t.outputs is None for t in temps):
             seed = cand
             break
     assert seed is not None

@@ -22,6 +22,7 @@ from cvqcsim.gadget import (
     fidelity_ideal,
     hadamard_sample,
     make_gadget,
+    merge_keys,
     parity_probs,
     sampler_distribution,
     std_sample,
@@ -178,7 +179,7 @@ class TestHadamardSampler:
         g = make_gadget(_pair(rng, 8))
         from cvqcsim.gadget import branch_words
 
-        w0, w1 = branch_words(g, Bits(0xAB, 8), o, 8)
+        w0, w1 = branch_words(g.keys, Bits(0xAB, 8), o, 8)
         delta = w0.xor(w1)
         for _ in range(2000):
             d = hadamard_sample(g, Bits(0xAB, 8), o, rng)
@@ -191,7 +192,7 @@ class TestHadamardSampler:
         g = dephase(make_gadget(_pair(rng, 8), PhasePair(0, 1)), 0)
         from cvqcsim.gadget import branch_words
 
-        w0, w1 = branch_words(g, Bits(0x3C, 8), o, 8)
+        w0, w1 = branch_words(g.keys, Bits(0x3C, 8), o, 8)
         delta = w0.xor(w1)
         n = 60_000
         zeros = sum(
@@ -236,7 +237,7 @@ class TestHadamardSampler:
         pad = Bits(0b010, 3)
         from cvqcsim.gadget import branch_words
 
-        w0, w1 = branch_words(g, pad, o, 3)
+        w0, w1 = branch_words(g.keys, pad, o, 3)
         delta = w0.xor(w1)
         n = 40_000
         counts: dict[int, int] = {}
@@ -259,6 +260,13 @@ class TestCombine:
         r0, r1 = _pair(rng, kappa)
         tbl = make_combine_table(ka, kb, r0, r1, kappa, o, rng)
         return o, rng, ka, kb, r0, r1, tbl, make_gadget(ka, th_a), make_gadget(kb, th_b)
+
+    def test_merge_keys_pairs_equal_or_crossed_subscripts(self):
+        ka, kb = KeyPair(Bits(0b10, 2), Bits(0b01, 2)), KeyPair(Bits(0b110, 3), Bits(0b011, 3))
+        assert merge_keys(ka, kb, 0) == KeyPair(ka.x0.concat(kb.x0), ka.x1.concat(kb.x1))
+        assert merge_keys(ka, kb, 1) == KeyPair(ka.x0.concat(kb.x1), ka.x1.concat(kb.x0))
+        assert merge_keys(ka, kb, 0) == KeyPair(Bits(0b10110, 5), Bits(0b01011, 5))
+        assert merge_keys(ka, kb, 1) == KeyPair(Bits(0b10011, 5), Bits(0b01110, 5))
 
     def test_equal_outcome_phases_add(self):
         o, rng, ka, kb, r0, r1, tbl, ga, gb = self._two(21, PhasePair(1, 2), PhasePair(3, 4))
@@ -307,7 +315,7 @@ class TestCombine:
                 rel = ((7 + 2) - (1 + 5)) % 8
             flat = dephase(comb, rel)
             pad = Bits(rng.getrandbits(10), 10)
-            w0, w1 = branch_words(flat, pad, o, 10)
+            w0, w1 = branch_words(flat.keys, pad, o, 10)
             d = hadamard_sample(flat, pad, o, rng)
             assert d.parity_with(w0.xor(w1)) == 0
 

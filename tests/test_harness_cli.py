@@ -299,6 +299,13 @@ def test_cli_amplify_config_file(tmp_path, capsys):
     detail = json.loads(capsys.readouterr().out)
     assert detail["accepted"] is True
     assert detail["kappa"] == 12 and detail["L"] == 2 and detail["n_temp"] == 100
+    # each flag wins over its config key, and a config key over the default
+    cfg.write_text(json.dumps({"L": 1, "kappa": 8, "seed": "01", "N_temp": 5, "N_rspv": 3}))
+    argv = ["amplify", "--config", str(cfg), "--L", "3", "--kappa", "10", "--seed", "02", "--n-temp", "7"]
+    assert main(argv) in (0, 1)
+    detail = json.loads(capsys.readouterr().out)
+    assert (detail["L"], detail["kappa"], detail["n_temp"], detail["n_rspv"]) == (3, 10, 7, 3)
+    assert detail["seed"] == master_seed_from(bytes.fromhex("02")).hex()
 
 
 def test_cli_amplify_bad_config_exits_2(capsys):

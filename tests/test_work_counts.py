@@ -65,24 +65,33 @@ def test_no_payload_or_token_work_unless_recording(counts):
 
 
 def test_prf_calls_per_gadget_are_linear_in_L(counts):
-    # the work ACCEPT-09 times (honest comp rounds), counted instead of timed
+    # the work ACCEPT-09 times (honest comp rounds), counted instead of
+    # timed, and the folds of coph and BN rounds, whose merged keys grow
+    # with L
     tally, patch = counts
     patch(ntcf, "_stream_bits", "ntcf")
     patch(oracle, "_stream_bits", "oracle")
-    per_gadget = {}
-    for L, sessions in ((128, 4), (512, 1)):
-        tally.clear()
-        for i in range(sessions):
-            run_pre_rspv(HONEST, f"lin-{L}-{i}", kappa=16, L=L, force_plan="comp")
-        gadgets = L * sessions
-        per_gadget[L] = {k: tally[k] / gadgets for k in ("ntcf", "oracle")}
-        # 4 Feistel rounds per block: dec finds eval_claw's rounds in the key's memo
-        assert per_gadget[L]["ntcf"] == 4 * (L + 2) / L
-    for k in ("ntcf", "oracle"):
-        ratio = per_gadget[512][k] / per_gadget[128][k]
-        assert abs(ratio - 1) <= 0.05, (k, per_gadget)
-    total = {L: sum(c.values()) for L, c in per_gadget.items()}
-    assert abs(total[512] / total[128] - 1) <= 0.05, total
+    for plan, runs in (
+        ("comp", ((128, 4), (512, 1))),
+        ("prep:coph", ((128, 4), (2048, 1))),
+        ("prep:bn", ((128, 4), (2048, 1))),
+    ):
+        per_gadget = {}
+        for L, sessions in runs:
+            tally.clear()
+            for i in range(sessions):
+                seed = f"lin-{L}-{i}" if plan == "comp" else f"lin-{plan}-{L}-{i}"
+                run_pre_rspv(HONEST, seed, kappa=16, L=L, force_plan=plan)
+            gadgets = L * sessions
+            per_gadget[L] = {k: tally[k] / gadgets for k in ("ntcf", "oracle")}
+            # 4 Feistel rounds per block: dec finds eval_claw's rounds in the key's memo
+            assert per_gadget[L]["ntcf"] == 4 * (L + 2) / L, plan
+        small, large = (L for L, _ in runs)
+        for k in ("ntcf", "oracle"):
+            ratio = per_gadget[large][k] / per_gadget[small][k]
+            assert abs(ratio - 1) <= 0.05, (plan, k, per_gadget)
+        total = {L: sum(c.values()) for L, c in per_gadget.items()}
+        assert abs(total[large] / total[small] - 1) <= 0.05, (plan, total)
 
 
 # (oracle._stream_bits, ntcf._stream_bits) calls per session at kappa=16,
