@@ -257,7 +257,8 @@ def combine_step(
 
 def decode_output(gadgets: list[Gadget], revealed_keys: list[KeyPair]) -> tuple[PlusStateVector, complex]:
     """Honest decode: recover each theta = theta1 - theta0 from the amplitude
-    ratio, yielding the product state |+_theta(1)> x ... plus a global phase.
+    ratio, yielding the product state |+_theta(1)> x ... plus a global phase,
+    the ROOT8 entry of the summed branch-0 phases.
 
     Gadget branch order must match the revealed key pairs (an X-corrected
     server swaps its branches first); a ratio off the 8th roots of unity by
@@ -266,19 +267,21 @@ def decode_output(gadgets: list[Gadget], revealed_keys: list[KeyPair]) -> tuple[
     if len(gadgets) != len(revealed_keys):
         raise ValueError("gadget/key count mismatch")
     thetas = []
-    global_phase = complex(1, 0)
+    phase = 0
     for g, keys in zip(gadgets, revealed_keys):
         if g.keys != tuple(keys):
             raise TableMismatch("gadget keys do not match revealed pair")
-        ratio = g.amp1 / g.amp0
-        for k in range(8):
-            if abs(ratio - ROOT8[k]) <= _DECODE_TOL:
-                thetas.append(k)
-                break
-        else:
-            raise TableMismatch(f"amplitude ratio {ratio!r} is not an 8th root of unity")
-        global_phase *= g.amp0 / abs(g.amp0)
-    return PlusStateVector(tuple(thetas)), global_phase
+        thetas.append(_root8_index(g.amp1 / g.amp0))
+        phase += _root8_index(g.amp0 / abs(g.amp0))
+    return PlusStateVector(tuple(thetas)), ROOT8[phase % 8]
+
+
+def _root8_index(z: complex) -> int:
+    """k with ROOT8[k] within ``_DECODE_TOL`` of `z`."""
+    for k in range(8):
+        if abs(z - ROOT8[k]) <= _DECODE_TOL:
+            return k
+    raise TableMismatch(f"amplitude ratio {z!r} is not an 8th root of unity")
 
 
 def fidelity_ideal(decoded: PlusStateVector, client_thetas: list[int] | tuple[int, ...]) -> float:

@@ -13,7 +13,7 @@ from cvqcsim.adversary import (
     parse_phase_fn,
     parse_strategy,
 )
-from cvqcsim.gadget import COS2_TABLE
+from cvqcsim.gadget import COS2_TABLE, ROOT8
 from cvqcsim.protocol import run_pre_rspv
 
 KL = dict(kappa=8, L=2)
@@ -130,6 +130,12 @@ def test_conjugate_matches_honest_per_seed():
         a = run_pre_rspv(parse_strategy("honest"), ("cj", i), kappa=6, L=2)
         b = run_pre_rspv(parse_strategy("conjugate"), ("cj", i), kappa=6, L=2)
         assert (a.round_type, a.flag, a.score) == (b.round_type, b.flag, b.score)
+
+
+def test_conjugate_comp_global_phase_is_an_exact_root8_entry():
+    for seed in ("golden-0", "golden-1", "root8"):
+        out = run_pre_rspv(parse_strategy("conjugate"), seed, kappa=8, L=3, force_plan="comp")
+        assert out.outputs.global_phase in ROOT8
 
 
 def test_global_phase_shift4_matches_honest_per_seed():
