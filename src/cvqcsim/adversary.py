@@ -139,10 +139,10 @@ class ConjugateSession(ServerSession):
         return (-revealed) % 8
 
     def decode_outputs(self, indices, revealed):
-        # the held state decodes to |+_{-theta}>; X (amplitude swap) fixes it
+        # the held state decodes to |+_{-theta}>; X (branch-phase swap) fixes it
         for i in indices:
             g = self.gadgets[i]
-            self.gadgets[i] = Gadget(g.keys, g.amp1, g.amp0)
+            self.gadgets[i] = Gadget(g.keys, g.t1, g.t0)
         return super().decode_outputs(indices, revealed)
 
 
@@ -211,20 +211,17 @@ class GhzSession(ServerSession):
     def __init__(self, oracle, rng, kappa):
         super().__init__(oracle, rng, kappa)
         self.outputs: dict[int, KeyPair] = {}  # each merged output's own key pair
-        self.joint: Gadget | None = None  # the register's amplitudes; keys come per answer
+        self.joint: Gadget | None = None  # the register's phases; keys come per answer
         self.collapsed: int | None = None
         self.folded: list[int] = []
 
     def _merge(self) -> None:
-        a0, a1 = complex(1, 0), complex(1, 0)
+        t0 = t1 = 0
         for i in sorted(i for i in self.gadgets if i >= 1):
             g = self.gadgets.pop(i)
             self.outputs[i] = g.keys
-            a0, a1 = a0 * g.amp0, a1 * g.amp1
-            # renormalise per gadget: a product of L factors 2^-1/2 underflows
-            scale = (abs(a0) ** 2 + abs(a1) ** 2) ** -0.5
-            a0, a1 = a0 * scale, a1 * scale
-        self.joint = Gadget(_NO_KEYS, a0, a1)
+            t0, t1 = t0 + g.t0, t1 + g.t1
+        self.joint = Gadget(_NO_KEYS, t0 % 8, t1 % 8)
 
     def _register(self, order: list[int]) -> Gadget:
         """The joint register over the outputs in `order`, its branches
@@ -244,9 +241,7 @@ class GhzSession(ServerSession):
 
     def _collapse(self) -> int:
         if self.collapsed is None:
-            a0 = self.joint.amp0
-            p0 = (a0.real**2 + a0.imag**2) / self.joint.norm_sq
-            self.collapsed = 0 if self.rng.random() < p0 else 1
+            self.collapsed = 0 if self.rng.random() < 0.5 else 1
         return self.collapsed
 
     def respond_std(self, indices):

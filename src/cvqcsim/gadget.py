@@ -1,34 +1,36 @@
 """Exact state engine for two-branch gadgets with Z8 phases.
 
-A gadget is the server-side state (1/sqrt2)(e^{i theta0 pi/4}|x0> +
-e^{i theta1 pi/4}|x1>): two branch keys and two complex amplitudes.  Honest
-execution and every built-in attack stay inside this family, which is what
-makes thousand-gadget sessions linear-time — there is no general statevector
-here, just (keys, amp0, amp1) updated exactly.
+A gadget is the server-side state (1/sqrt2)(e^{i t0 pi/4}|x0> +
+e^{i t1 pi/4}|x1>): two branch keys and two phases t0, t1 in Z8.  Honest
+execution and every built-in attack stay inside this family exactly, because
+every operation multiplies a branch by an 8th root of unity, which adds to
+its phase mod 8.  So there is no general statevector and no float amplitude
+here, just (keys, t0, t1), and thousand-gadget sessions stay linear-time
+with nothing to renormalise.
 
 Measurement sampling is exact, not approximate:
 
-* standard basis — branch b with probability |amp_b|^2;
-* padded Hadamard basis — measuring amp0|w0> + amp1|w1> (w_b = x_b ||
-  H(pad||x_b)) in the Hadamard basis gives outcome d with probability
-  |amp0 (-1)^{d.w0} + amp1 (-1)^{d.w1}|^2 / 2^n, which factorizes into a
-  two-point parity distribution (the class c = d.(w0 xor w1)) times a
+* standard basis — each branch with probability 1/2;
+* padded Hadamard basis — measuring the state over w_b = x_b || H(pad||x_b)
+  in the Hadamard basis gives outcome d with probability
+  |e^{i t0 pi/4} (-1)^{d.w0} + e^{i t1 pi/4} (-1)^{d.w1}|^2 / 2^(n+1), which
+  factorizes into a two-point parity distribution (the class
+  c = d.(w0 xor w1), with Pr[c=0] = COS2_TABLE[(t1 - t0) % 8]) times a
   uniform choice within the class.  ``hadamard_sample`` implements the
   factorized law; ``enumerate_hadamard_distribution`` is the brute-force
-  statevector enumeration kept as an independent oracle for tests and
-  selftest.
+  float statevector enumeration kept as an independent reference for tests
+  and selftest.
 
-All 8th-root phase factors come from the ROOT8 table below, built from a
-single sqrt(0.5) literal, so conjugating a gadget (amp.conjugate()) yields
-*numerically identical* probabilities for every observable — runs that
-differ only by conjugation make bit-identical random decisions from the
-same RNG stream.  That exactness is load-bearing for the conjugate-attack
+Conjugating a gadget negates both phases, so t1 - t0 becomes t0 - t1.
+COS2_TABLE is symmetric under k <-> 8 - k, so every observable probability
+is the *same float* for a gadget and its conjugate — runs that differ only
+by conjugation make bit-identical random decisions from the same RNG
+stream.  That exactness is load-bearing for the conjugate-attack
 equivalence tests.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from random import Random
@@ -60,14 +62,6 @@ _C8 = math.cos(math.pi / 8) ** 2
 _S8 = math.sin(math.pi / 8) ** 2
 COS2_TABLE = (1.0, _C8, 0.5, _S8, 0.0, _S8, 0.5, _C8)
 
-# Probabilities this close to the simplex boundary are boundary values in
-# exact arithmetic (the branch family cannot produce genuinely tiny nonzero
-# parity weights above float error); snapping keeps one-sided tests one-sided.
-_SNAP = 1e-24
-
-# An amplitude ratio this close to an 8th root of unity decodes to it.
-_DECODE_TOL = 1e-9
-
 
 class TableMismatch(Exception):
     """A lookup table did not decrypt consistently under the expected keys."""
@@ -78,20 +72,10 @@ class KeyPair(NamedTuple):
     x1: Bits
 
 
-class PhasePair(NamedTuple):
-    theta0: int
-    theta1: int
-
-
 class Gadget(NamedTuple):
     keys: KeyPair
-    amp0: complex
-    amp1: complex
-
-    @property
-    def norm_sq(self) -> float:
-        a0, a1 = self.amp0, self.amp1
-        return a0.real * a0.real + a0.imag * a0.imag + a1.real * a1.real + a1.imag * a1.imag
+    t0: int  # branch phases in units of pi/4, in 0..7
+    t1: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,15 +83,9 @@ class PlusStateVector:
     thetas: tuple[int, ...]
 
 
-def make_gadget(keys: KeyPair, phases: PhasePair | None = None) -> Gadget:
+def make_gadget(keys: KeyPair, phases: tuple[int, int] = (0, 0)) -> Gadget:
     assert keys[0] != keys[1], "branch keys must be distinct"
-    if phases is None:
-        return Gadget(keys, INV_SQRT2 + 0j, INV_SQRT2 + 0j)
-    return Gadget(
-        keys,
-        ROOT8[phases[0] % 8] * INV_SQRT2,
-        ROOT8[phases[1] % 8] * INV_SQRT2,
-    )
+    return Gadget(keys, phases[0] % 8, phases[1] % 8)
 
 
 def decrypt_branch_phases(
@@ -125,21 +103,19 @@ def decrypt_branch_phases(
 
 
 def rotate_branches(g: Gadget, theta0: int, theta1: int) -> Gadget:
-    """Diagonal phase op: amp_b *= e^{i theta_b pi/4}."""
-    return Gadget(g.keys, g.amp0 * ROOT8[theta0 % 8], g.amp1 * ROOT8[theta1 % 8])
+    """Diagonal phase op: branch b picks up e^{i theta_b pi/4}."""
+    return Gadget(g.keys, (g.t0 + theta0) % 8, (g.t1 + theta1) % 8)
 
 
 def dephase(g: Gadget, revealed: int) -> Gadget:
     """Rotate branch 1 by e^{-i revealed pi/4} (the server's reaction to a
     revealed relative phase; residual relative phase = old - revealed)."""
-    return Gadget(g.keys, g.amp0, g.amp1 * ROOT8[(8 - revealed % 8) % 8])
+    return Gadget(g.keys, g.t0, (g.t1 - revealed) % 8)
 
 
 def std_sample(g: Gadget, rng: Random) -> tuple[int, Bits]:
-    """Standard-basis measurement: (b, x_b) with Pr[b] = |amp_b|^2."""
-    a0 = g.amp0
-    p0 = (a0.real * a0.real + a0.imag * a0.imag) / g.norm_sq
-    b = 0 if rng.random() < p0 else 1
+    """Standard-basis measurement: (b, x_b) with Pr[b] = 1/2."""
+    b = 0 if rng.random() < 0.5 else 1
     return b, g.keys[b]
 
 
@@ -153,35 +129,27 @@ def branch_words(keys: KeyPair, pad: Bits, oracle: RandomOracle, kappa: int) -> 
 
 
 def parity_probs(g: Gadget) -> tuple[float, float]:
-    """(Pr[c=0], Pr[c=1]) for the Hadamard parity class c = d.(w0 xor w1)."""
-    s = g.amp0 + g.amp1
-    d = g.amp0 - g.amp1
-    p0 = s.real * s.real + s.imag * s.imag
-    p1 = d.real * d.real + d.imag * d.imag
-    tot = p0 + p1
-    p1 /= tot
-    if p1 < _SNAP:
-        p1 = 0.0
-    elif p1 > 1.0 - _SNAP:
-        p1 = 1.0
-    return 1.0 - p1, p1
+    """(Pr[c=0], Pr[c=1]) for the Hadamard parity class c = d.(w0 xor w1):
+    cos^2 and sin^2 of (t1 - t0) pi/8, exactly 0 or 1 at the poles."""
+    rel = g.t1 - g.t0
+    return COS2_TABLE[rel % 8], COS2_TABLE[(rel + 4) % 8]
 
 
 def enumerate_hadamard_distribution(g: Gadget, pad: Bits, oracle: RandomOracle, kappa: int) -> dict[int, float]:
     """Brute-force oracle: full 2^(|x|+kappa) Hadamard-basis distribution.
 
-    Expands amp0|w0> + amp1|w1> over every outcome d; exponential, for tests
-    and selftest only.
+    Expands the complex amplitudes a_b = e^{i t_b pi/4}/sqrt2 over every
+    outcome d; exponential, for tests and selftest only.
     """
     w0, w1 = branch_words(g.keys, pad, oracle, kappa)
     n = w0.width
-    norm = g.norm_sq
+    a0, a1 = ROOT8[g.t0] * INV_SQRT2, ROOT8[g.t1] * INV_SQRT2
     out: dict[int, float] = {}
     for d in range(1 << n):
         s0 = -1.0 if (d & w0.value).bit_count() & 1 else 1.0
         s1 = -1.0 if (d & w1.value).bit_count() & 1 else 1.0
-        amp = g.amp0 * s0 + g.amp1 * s1
-        out[d] = (amp.real * amp.real + amp.imag * amp.imag) / (norm * (1 << n))
+        amp = a0 * s0 + a1 * s1
+        out[d] = (amp.real * amp.real + amp.imag * amp.imag) / (1 << n)
     return out
 
 
@@ -227,8 +195,8 @@ def combine_step(
 
     The server decrypts the table in superposition and measures the result
     register: outcome r0 keeps equal-subscript branch pairs (x0a x0b / x1a
-    x1b), outcome r1 the crossed pairs (``merge_keys``); amplitudes multiply
-    and renormalize.
+    x1b), outcome r1 the crossed pairs (``merge_keys``), each with probability
+    1/2; the phases of the paired branches add.
     Table rows are keyed by the *first kappa bits* of the a-side branch (the
     client builds them from the base gadget's keys).
     """
@@ -246,23 +214,21 @@ def combine_step(
     if r[0, 0] != r[1, 1] or r[0, 1] != r[1, 0] or r[0, 0] == r[0, 1]:
         raise TableMismatch("table decryptions do not form a combine pattern")
 
-    pairs = ((g_a.amp0 * g_b.amp0, g_a.amp1 * g_b.amp1), (g_a.amp0 * g_b.amp1, g_a.amp1 * g_b.amp0))
-    weights = [abs(p[0]) ** 2 + abs(p[1]) ** 2 for p in pairs]
-    crossed = int(rng.random() >= weights[0] / (weights[0] + weights[1]))
-    amps = pairs[crossed]
-    scale = 1.0 / math.sqrt(weights[crossed])
-    combined = Gadget(merge_keys(g_a.keys, g_b.keys, crossed), amps[0] * scale, amps[1] * scale)
+    crossed = int(rng.random() >= 0.5)
+    tb = (g_b.t0, g_b.t1)
+    combined = Gadget(
+        merge_keys(g_a.keys, g_b.keys, crossed), (g_a.t0 + tb[crossed]) % 8, (g_a.t1 + tb[1 - crossed]) % 8
+    )
     return Bits(r[0, crossed], kappa), combined
 
 
 def decode_output(gadgets: list[Gadget], revealed_keys: list[KeyPair]) -> tuple[PlusStateVector, complex]:
-    """Honest decode: recover each theta = theta1 - theta0 from the amplitude
-    ratio, yielding the product state |+_theta(1)> x ... plus a global phase,
-    the ROOT8 entry of the summed branch-0 phases.
+    """Honest decode: each theta = t1 - t0, yielding the product state
+    |+_theta(1)> x ... plus a global phase, the ROOT8 entry of the summed
+    branch-0 phases.
 
     Gadget branch order must match the revealed key pairs (an X-corrected
-    server swaps its branches first); a ratio off the 8th roots of unity by
-    more than ``_DECODE_TOL`` means the state left honest form.
+    server swaps its branches first).
     """
     if len(gadgets) != len(revealed_keys):
         raise ValueError("gadget/key count mismatch")
@@ -271,17 +237,9 @@ def decode_output(gadgets: list[Gadget], revealed_keys: list[KeyPair]) -> tuple[
     for g, keys in zip(gadgets, revealed_keys):
         if g.keys != tuple(keys):
             raise TableMismatch("gadget keys do not match revealed pair")
-        thetas.append(_root8_index(g.amp1 / g.amp0))
-        phase += _root8_index(g.amp0 / abs(g.amp0))
+        thetas.append((g.t1 - g.t0) % 8)
+        phase += g.t0
     return PlusStateVector(tuple(thetas)), ROOT8[phase % 8]
-
-
-def _root8_index(z: complex) -> int:
-    """k with ROOT8[k] within ``_DECODE_TOL`` of `z`."""
-    for k in range(8):
-        if abs(z - ROOT8[k]) <= _DECODE_TOL:
-            return k
-    raise TableMismatch(f"amplitude ratio {z!r} is not an 8th root of unity")
 
 
 def fidelity_ideal(decoded: PlusStateVector, client_thetas: list[int] | tuple[int, ...]) -> float:

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from .adversary import HELPER, ServerSession, Strategy
-from .gadget import KeyPair, PhasePair, PlusStateVector, TableMismatch, branch_words, fidelity_ideal, merge_keys
+from .gadget import KeyPair, PlusStateVector, TableMismatch, branch_words, fidelity_ideal, merge_keys
 from .ntcf import claw_partner, dec, eval_claw, keygen
 from .oracle import RandomOracle, fresh_pad
 from .tables import TagCollision, make_combine_table, make_phase_table, table_payload
@@ -103,7 +103,8 @@ NULL_TRANSCRIPT = Transcript(recording=False)  # shared sink for bulk runs
 class ClientSession:
     """One session's shared state: the server, the transcript, the oracle,
     the client's random stream and sizes, the client's key pairs per block
-    (filled in by ``run_setup``) and branch phases (``run_add_phase``)."""
+    (filled in by ``run_setup``) and relative phases theta1 - theta0 mod 8
+    (``run_add_phase``)."""
 
     server: ServerSession
     tr: Transcript
@@ -112,7 +113,7 @@ class ClientSession:
     kappa: int
     L: int
     keys: dict[int, KeyPair] = field(default_factory=dict)
-    thetas: dict[int, PhasePair] = field(default_factory=dict)
+    thetas: dict[int, int] = field(default_factory=dict)
 
 
 def open_session(
@@ -190,20 +191,20 @@ def run_stdb_test(s: ClientSession, keys: dict[int, KeyPair], indices: list[int]
 
 
 def run_hadamard_test(
-    s: ClientSession, idx: int, keys: KeyPair, phases: PhasePair | None, delta: int | None
+    s: ClientSession, idx: int, keys: KeyPair, theta: int | None, delta: int | None
 ) -> tuple[bool, int | None]:
     """Padded Hadamard test on one (possibly combined) gadget.
 
-    If `phases` is given, the client first reveals v = theta1 - theta0 -
-    delta so the honest residual relative phase is exactly delta.  Returns
+    If the relative phase `theta` is given, the client first reveals
+    v = theta - delta so the honest residual relative phase is exactly delta.  Returns
     (well_formed, parity): well_formed is False on a width violation or a
     d whose oracle-block suffix is all zero (that d carries no equation in
     the keys, so it proves nothing — honest probability exactly 2^-kappa);
     parity is d . (w0 xor w1), which callers compare against delta.
     """
     server, tr, kappa = s.server, s.tr, s.kappa
-    if phases is not None:
-        v = (phases.theta1 - phases.theta0 - (delta or 0)) % 8
+    if theta is not None:
+        v = (theta - (delta or 0)) % 8
         if tr.recording:
             tr.say("client", "reveal.phase", {"idx": idx, "v": v})
         server.dephase_reveal(idx, v)
@@ -232,7 +233,7 @@ def run_add_phase(s: ClientSession) -> bool:
     helper = keys[HELPER]
     for i in range(s.L + 1):
         theta = rng.randrange(8)
-        s.thetas[i] = PhasePair(0, theta)
+        s.thetas[i] = theta
         table = make_phase_table(helper, keys[i], (0, theta), kappa, oracle, rng)
         if tr.recording:
             tr.say("client", "phase.table", {"idx": i, "table": table_payload(table)})
@@ -242,13 +243,14 @@ def run_add_phase(s: ClientSession) -> bool:
     return ok and parity == 0
 
 
-def _fold(s: ClientSession, base: int, others: list[int]) -> tuple[KeyPair, PhasePair] | None:
+def _fold(s: ClientSession, base: int, others: list[int]) -> tuple[KeyPair, int] | None:
     """Combine `others` into `base` one at a time, tracking the client-side
-    key pair and branch phases of the merged gadget.  Tables are keyed on the
-    base gadget's original keys (the first kappa bits of the merged register)
-    crossed with the incoming gadget's keys; the server's reply says which
-    pairing survived (r1: crossed subscripts), and the phases pair up like
-    the keys.  Returns None as soon as a reply is off-table."""
+    key pair and relative phase of the merged gadget.  Tables are keyed on
+    the base gadget's original keys (the first kappa bits of the merged
+    register) crossed with the incoming gadget's keys; the server's reply says
+    which pairing survived (r1: crossed subscripts), and the phases pair up
+    like the keys, so a crossed merge subtracts the incoming relative phase.
+    Returns None as soon as a reply is off-table."""
     server, tr, oracle, rng, kappa, keys, thetas = (
         s.server, s.tr, s.oracle, s.rng, s.kappa, s.keys, s.thetas
     )
@@ -271,11 +273,11 @@ def _fold(s: ClientSession, base: int, others: list[int]) -> tuple[KeyPair, Phas
             return None
         crossed = int(r == r1)
         kk = merge_keys(kk, ki, crossed)
-        tt = PhasePair((tt.theta0 + ti[crossed]) % 8, (tt.theta1 + ti[1 - crossed]) % 8)
+        tt = (tt - ti if crossed else tt + ti) % 8
     return kk, tt
 
 
-def _coin_check(s: ClientSession, base: int, kk: KeyPair, tt: PhasePair, force_coin: str | None) -> bool:
+def _coin_check(s: ClientSession, base: int, kk: KeyPair, tt: int, force_coin: str | None) -> bool:
     """Final coin on a folded gadget: standard-basis key check, or a phased
     Hadamard test with a blinding delta in {0,4}."""
     coin = "std" if s.rng.random() < 0.5 else "had"
@@ -331,12 +333,11 @@ def run_bn_test(s: ClientSession, force_coin: str | None = None) -> bool:
     """
     L, tr, rng, thetas = s.L, s.tr, s.rng, s.thetas
     for i in range(1, L + 1):
-        t = thetas[i]
-        v = (t.theta1 - t.theta0) % 8
+        v = thetas[i]
         if tr.recording:
             tr.say("client", "reveal.phase", {"idx": i, "v": v})
         s.server.dephase_reveal(i, v)
-        thetas[i] = PhasePair(t.theta0, t.theta0)
+        thetas[i] = 0
     while True:
         subset = [i for i in range(1, L + 1) if rng.random() < 0.5]
         if subset:
@@ -363,7 +364,7 @@ def run_comp_round(s: ClientSession) -> tuple[bool, CompOutputs]:
         tokens = [[k.x0.token(), k.x1.token()] for k in revealed]
         tr.say("client", "comp.reveal", {"idx": indices, "keys": tokens})
     out = s.server.decode_outputs(indices, revealed)
-    client_thetas = tuple((s.thetas[i].theta1 - s.thetas[i].theta0) % 8 for i in indices)
+    client_thetas = tuple(s.thetas[i] for i in indices)
     if out is None:
         tr.say("server", "comp.state", {"decoded": None})
         return flag, CompOutputs(client_thetas, None, None)

@@ -5,7 +5,6 @@ import math
 
 import pytest
 
-from cvqcsim import adversary as adv
 from cvqcsim.adversary import (
     HELPER,
     OPT,
@@ -149,8 +148,8 @@ def test_global_phase_shift4_matches_honest_per_seed():
 
 
 def test_equal_shift_statistically_silent():
-    # shift:1 on both branches is a global e^{i pi/4}: float-rounded, so not
-    # bitwise, but distributionally identical. 3000 forced quiz rounds.
+    # shift:1 on both branches is a global e^{i pi/4}: it leaves the
+    # relative phase, and so every outcome law, unchanged. 3000 forced quiz rounds.
     s = parse_strategy({"attack": "phase_offset", "f": "shift:1", "g": "shift:1"})
     wins = fails = 0
     n = 3000

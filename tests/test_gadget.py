@@ -12,7 +12,6 @@ from cvqcsim.gadget import (
     ROOT8,
     Gadget,
     KeyPair,
-    PhasePair,
     PlusStateVector,
     TableMismatch,
     combine_step,
@@ -58,22 +57,21 @@ class TestRoot8:
 
 class TestMakeGadget:
     def test_flat_pair(self):
-        g = make_gadget(_pair(random.Random(0), 8), PhasePair(0, 0))
-        assert g.amp0 == g.amp1
-        assert abs(g.norm_sq - 1) < 1e-12
+        g = make_gadget(_pair(random.Random(0), 8), (0, 0))
+        assert g.t0 == g.t1 == 0
 
     def test_antipodal(self):
-        g = make_gadget(_pair(random.Random(1), 8), PhasePair(0, 4))
-        assert cmath.isclose(g.amp1, -g.amp0, abs_tol=1e-15)
+        g = make_gadget(_pair(random.Random(1), 8), (0, 4))
+        assert ROOT8[g.t1] == -ROOT8[g.t0]
 
     def test_relative_phase_two_is_i(self):
-        g = make_gadget(_pair(random.Random(2), 8), PhasePair(1, 3))
-        assert cmath.isclose(g.amp1 / g.amp0, 1j, abs_tol=1e-15)
-        assert abs(g.norm_sq - 1) < 1e-12
+        g = make_gadget(_pair(random.Random(2), 8), (1, 3))
+        assert (g.t0, g.t1) == (1, 3)
+        assert ROOT8[(g.t1 - g.t0) % 8] == 1j
 
     def test_no_phases_means_flat(self):
         k = _pair(random.Random(3), 8)
-        assert make_gadget(k) == make_gadget(k, PhasePair(0, 0))
+        assert make_gadget(k) == make_gadget(k, (0, 0)) == (k, 0, 0)
 
     def test_equal_keys_rejected(self):
         x = Bits(5, 8)
@@ -107,10 +105,7 @@ class TestPhaseTableApplication:
     def test_reaches_target_gadget(self):
         o, hk, gk, tbl = self._setup(5, (2, 5))
         got = _receive(make_gadget(gk), tbl, hk[1], o)
-        want = make_gadget(gk, PhasePair(2, 5))
-        assert got.keys == want.keys
-        assert cmath.isclose(got.amp0, want.amp0, abs_tol=1e-15)
-        assert cmath.isclose(got.amp1, want.amp1, abs_tol=1e-15)
+        assert got == make_gadget(gk, (2, 5))
 
     @settings(max_examples=25, deadline=None)
     @given(st.tuples(st.integers(0, 7), st.integers(0, 7)),
@@ -123,9 +118,7 @@ class TestPhaseTableApplication:
         t1 = make_phase_table(hk, gk, th_a, 12, o, rng)
         t2 = make_phase_table(hk, gk, th_b, 12, o, rng)
         g = _receive(_receive(make_gadget(gk), t1, hk[0], o), t2, hk[0], o)
-        want = make_gadget(gk, PhasePair((th_a[0] + th_b[0]) % 8, (th_a[1] + th_b[1]) % 8))
-        assert cmath.isclose(g.amp1 / g.amp0, want.amp1 / want.amp0, abs_tol=1e-12)
-        assert abs(g.norm_sq - 1) < 1e-12
+        assert g == make_gadget(gk, ((th_a[0] + th_b[0]) % 8, (th_a[1] + th_b[1]) % 8))
 
     def test_wrong_helper_key_mismatch(self):
         o, hk, gk, tbl = self._setup(6, (1, 2))
@@ -136,37 +129,31 @@ class TestPhaseTableApplication:
 
 class TestDephase:
     def test_reveal_true_phase_flattens(self):
-        g = make_gadget(_pair(random.Random(7), 8), PhasePair(3, 6))
+        g = make_gadget(_pair(random.Random(7), 8), (3, 6))
         out = dephase(g, 3)
-        assert cmath.isclose(out.amp1 / out.amp0, 1, abs_tol=1e-15)
+        assert out.t0 == out.t1 == 3
 
     def test_residual_four_is_antipodal(self):
-        g = make_gadget(_pair(random.Random(8), 8), PhasePair(0, 5))
+        g = make_gadget(_pair(random.Random(8), 8), (0, 5))
         out = dephase(g, 1)
-        assert cmath.isclose(out.amp1, -out.amp0, abs_tol=1e-15)
+        assert (out.t0, out.t1) == (0, 4)
 
     def test_reveal_zero_identity(self):
-        g = make_gadget(_pair(random.Random(9), 8), PhasePair(2, 3))
+        g = make_gadget(_pair(random.Random(9), 8), (2, 3))
         assert dephase(g, 0) == g
 
 
 class TestStdSample:
     def test_honest_gadget_uniform(self):
-        g = make_gadget(_pair(random.Random(10), 8), PhasePair(1, 6))
+        g = make_gadget(_pair(random.Random(10), 8), (1, 6))
         rng = random.Random(11)
         n = 100_000
         ones = sum(std_sample(g, rng)[0] for _ in range(n))
         assert abs(ones - n / 2) < 4 * (n * 0.25) ** 0.5
 
-    def test_collapsed_gadget(self):
-        k = _pair(random.Random(12), 8)
-        g = Gadget(k, 1 + 0j, 0j)
-        rng = random.Random(13)
-        assert all(std_sample(g, rng) == (0, k.x0) for _ in range(50))
-
     def test_support(self):
         k = _pair(random.Random(14), 8)
-        g = make_gadget(k, PhasePair(0, 3))
+        g = make_gadget(k, (0, 3))
         rng = random.Random(15)
         assert all(std_sample(g, rng)[1] in k for _ in range(50))
 
@@ -189,7 +176,7 @@ class TestHadamardSampler:
         # Pr[parity 0] = cos^2(pi/8)
         o = RandomOracle(SEED)
         rng = random.Random(17)
-        g = dephase(make_gadget(_pair(rng, 8), PhasePair(0, 1)), 0)
+        g = dephase(make_gadget(_pair(rng, 8), (0, 1)), 0)
         from cvqcsim.gadget import branch_words
 
         w0, w1 = branch_words(g.keys, Bits(0x3C, 8), o, 8)
@@ -204,27 +191,23 @@ class TestHadamardSampler:
 
     def test_matches_enumeration_all_phases_small(self):
         # sampler law == brute-force statevector enumeration, TV < 1e-12
-        # (|x|, kappa) = (3, 3), every residual phase, a lopsided pair too
+        # (|x|, kappa) = (3, 3), all 64 branch-phase pairs (t0, t1)
         o = RandomOracle(SEED)
         rng = random.Random(18)
         keys = _pair(rng, 3)
         pad = Bits(0b101, 3)
-        for res in range(8):
-            g = make_gadget(keys, PhasePair(0, res))
-            assert _tv(
-                sampler_distribution(g, pad, o, 3),
-                enumerate_hadamard_distribution(g, pad, o, 3),
-            ) < 1e-12
-        lop = Gadget(keys, 0.936 + 0.0j, 0.2808 + 0.2106j)  # 0.936^2+0.351^2=1
-        assert _tv(
-            sampler_distribution(lop, pad, o, 3),
-            enumerate_hadamard_distribution(lop, pad, o, 3),
-        ) < 1e-12
+        for t0 in range(8):
+            for t1 in range(8):
+                g = make_gadget(keys, (t0, t1))
+                assert _tv(
+                    sampler_distribution(g, pad, o, 3),
+                    enumerate_hadamard_distribution(g, pad, o, 3),
+                ) < 1e-12
 
     def test_enumeration_normalizes(self):
         o = RandomOracle(SEED)
         rng = random.Random(19)
-        g = make_gadget(_pair(rng, 4), PhasePair(2, 7))
+        g = make_gadget(_pair(rng, 4), (2, 7))
         dist = enumerate_hadamard_distribution(g, Bits(0b11, 2), o, 2)
         assert abs(sum(dist.values()) - 1) < 1e-12
 
@@ -233,7 +216,7 @@ class TestHadamardSampler:
         # class checked with a coarse chi-square-style bound
         o = RandomOracle(SEED)
         rng = random.Random(20)
-        g = make_gadget(_pair(rng, 3), PhasePair(0, 2))
+        g = make_gadget(_pair(rng, 3), (0, 2))
         pad = Bits(0b010, 3)
         from cvqcsim.gadget import branch_words
 
@@ -269,42 +252,41 @@ class TestCombine:
         assert merge_keys(ka, kb, 1) == KeyPair(Bits(0b10011, 5), Bits(0b01110, 5))
 
     def test_equal_outcome_phases_add(self):
-        o, rng, ka, kb, r0, r1, tbl, ga, gb = self._two(21, PhasePair(1, 2), PhasePair(3, 4))
+        o, rng, ka, kb, r0, r1, tbl, ga, gb = self._two(21, (1, 2), (3, 4))
         while True:  # draw until the equal-subscript branch comes up
             r, comb = combine_step(ga, gb, tbl, o, rng)
             if r == r0:
                 break
         assert comb.keys == KeyPair(ka.x0.concat(kb.x0), ka.x1.concat(kb.x1))
-        # relative phase (2+4)-(1+3) = 2
-        assert cmath.isclose(comb.amp1 / comb.amp0, ROOT8[2], abs_tol=1e-12)
-        assert abs(comb.norm_sq - 1) < 1e-12
+        # equal subscripts pair up: (1+3, 2+4), relative phase 2
+        assert (comb.t0, comb.t1) == (4, 6)
 
     def test_cross_outcome_keys(self):
-        o, rng, ka, kb, r0, r1, tbl, ga, gb = self._two(22, PhasePair(1, 2), PhasePair(3, 4))
+        o, rng, ka, kb, r0, r1, tbl, ga, gb = self._two(22, (1, 2), (3, 4))
         while True:
             r, comb = combine_step(ga, gb, tbl, o, rng)
             if r == r1:
                 break
         assert comb.keys == KeyPair(ka.x0.concat(kb.x1), ka.x1.concat(kb.x0))
-        # relative phase (2+3)-(1+4) = 0
-        assert cmath.isclose(comb.amp1 / comb.amp0, 1, abs_tol=1e-12)
+        # crossed subscripts pair up: (1+4, 2+3), relative phase 0
+        assert (comb.t0, comb.t1) == (5, 5)
 
     def test_honest_outcome_is_fair_coin(self):
-        o, rng, ka, kb, r0, r1, tbl, ga, gb = self._two(23, PhasePair(0, 5), PhasePair(6, 1))
+        o, rng, ka, kb, r0, r1, tbl, ga, gb = self._two(23, (0, 5), (6, 1))
         n = 100_000
         eq = sum(combine_step(ga, gb, tbl, o, rng)[0] == r0 for _ in range(n))
         assert abs(eq - n / 2) < 4 * (n * 0.25) ** 0.5
 
     def test_wrong_table_mismatch(self):
-        o, rng, ka, kb, r0, r1, tbl, ga, gb = self._two(24, PhasePair(0, 0), PhasePair(0, 0))
-        other = make_gadget(_pair(rng, 10), PhasePair(0, 0))
+        o, rng, ka, kb, r0, r1, tbl, ga, gb = self._two(24, (0, 0), (0, 0))
+        other = make_gadget(_pair(rng, 10), (0, 0))
         with pytest.raises(TableMismatch):
             combine_step(ga, other, tbl, o, rng)
 
     def test_combine_then_dephase_is_one_sided(self):
         # client knows the combined relative phase; dephasing with it makes
         # the Hadamard parity always 0 — the honest one-sided error
-        o, rng, ka, kb, r0, r1, tbl, ga, gb = self._two(25, PhasePair(1, 7), PhasePair(2, 5))
+        o, rng, ka, kb, r0, r1, tbl, ga, gb = self._two(25, (1, 7), (2, 5))
         from cvqcsim.gadget import branch_words
 
         for _ in range(200):
@@ -325,29 +307,23 @@ class TestDecodeAndFidelity:
         rng = random.Random(26)
         for _ in range(50):
             keys = [_pair(rng, 8) for _ in range(4)]
-            thetas = [PhasePair(rng.randrange(8), rng.randrange(8)) for _ in range(4)]
+            thetas = [(rng.randrange(8), rng.randrange(8)) for _ in range(4)]
             gs = [make_gadget(k, t) for k, t in zip(keys, thetas)]
             vec, phase = decode_output(gs, keys)
-            assert vec.thetas == tuple((t.theta1 - t.theta0) % 8 for t in thetas)
-            assert abs(abs(phase) - 1) < 1e-12
+            assert vec.thetas == tuple((t1 - t0) % 8 for t0, t1 in thetas)
+            assert phase == ROOT8[sum(t0 for t0, _ in thetas) % 8]
 
     def test_single_example(self):
         k = _pair(random.Random(27), 8)
-        vec, _ = decode_output([make_gadget(k, PhasePair(2, 7))], [k])
+        vec, _ = decode_output([make_gadget(k, (2, 7))], [k])
         assert vec.thetas == (5,)
 
     def test_all_zero(self):
         rng = random.Random(28)
         keys = [_pair(rng, 8) for _ in range(3)]
-        vec, phase = decode_output([make_gadget(k, PhasePair(0, 0)) for k in keys], keys)
+        vec, phase = decode_output([make_gadget(k, (0, 0)) for k in keys], keys)
         assert vec.thetas == (0, 0, 0)
         assert cmath.isclose(phase, 1, abs_tol=1e-12)
-
-    def test_non_honest_form_rejected(self):
-        k = _pair(random.Random(29), 8)
-        g = Gadget(k, 0.8 + 0j, 0.6 + 0j)  # ratio 0.75: not a unit 8th root
-        with pytest.raises(TableMismatch):
-            decode_output([g], [k])
 
     def test_key_mismatch_rejected(self):
         rng = random.Random(30)
@@ -369,36 +345,14 @@ class TestConjugation:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 999))
     def test_observable_distributions_identical(self, t0, t1, salt):
-        # std probabilities and the full Hadamard law are conjugation-
-        # invariant, exactly (bitwise-equal floats)
+        # the conjugate negates both phases; the Hadamard law is
+        # conjugation-invariant, exactly (bitwise-equal floats)
         o = RandomOracle(SEED)
         rng = random.Random(salt)
         keys = _pair(rng, 3)
         pad = Bits(rng.getrandbits(3), 3)
-        g = make_gadget(keys, PhasePair(t0, t1))
-        cg = Gadget(g.keys, g.amp0.conjugate(), g.amp1.conjugate())
+        g = make_gadget(keys, (t0, t1))
+        cg = Gadget(g.keys, -t0 % 8, -t1 % 8)
         assert parity_probs(g) == parity_probs(cg)
-        assert g.norm_sq == cg.norm_sq
         assert sampler_distribution(g, pad, o, 3) == sampler_distribution(cg, pad, o, 3)
 
-
-class TestNormalizationInvariant:
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7), st.integers(0, 999))
-    def test_chain_preserves_norm(self, ta, tb, rev, salt):
-        from hypothesis import assume
-
-        from cvqcsim.tables import TagCollision
-
-        o = RandomOracle(SEED)
-        rng = random.Random(salt)
-        ka, kb = _pair(rng, 16), _pair(rng, 16)
-        r0, r1 = _pair(rng, 16)
-        tbl = make_combine_table(ka, kb, r0, r1, 16, o, rng)
-        ga = dephase(make_gadget(ka, PhasePair(0, ta)), rev)
-        gb = make_gadget(kb, PhasePair(tb, 3))
-        try:
-            _, comb = combine_step(ga, gb, tbl, o, rng)
-        except TagCollision:  # legitimate at desk-scale kappa; not this property
-            assume(False)
-        assert abs(comb.norm_sq - 1) < 1e-12

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import cvqcsim.adversary as adv
 from cvqcsim.adversary import HELPER
-from cvqcsim.gadget import ROOT8, COS2_TABLE
+from cvqcsim.gadget import COS2_TABLE
 from cvqcsim.protocol import (
     NULL_TRANSCRIPT,
     ROUND_TYPES,
@@ -243,8 +243,7 @@ def test_add_phase_consumes_helper_and_rotates_outputs():
     assert set(s.server.gadgets) == {0, 1, 2}
     for i in (0, 1, 2):
         g = s.server.gadgets[i]
-        theta = s.thetas[i].theta1
-        assert abs(g.amp1 / g.amp0 - ROOT8[theta]) < 1e-9
+        assert (g.t0, g.t1) == (0, s.thetas[i])
 
 
 def test_fold_tracks_server_key_pair_and_phase():
@@ -259,7 +258,7 @@ def test_fold_tracks_server_key_pair_and_phase():
         kk, tt = folded
         g = s.server.gadgets[0]
         assert g.keys == kk  # branch order included
-        assert abs(g.amp1 / g.amp0 - ROOT8[(tt.theta1 - tt.theta0) % 8]) < 1e-9
+        assert (g.t1 - g.t0) % 8 == tt
         all_equal = s.keys[0].x0
         for j in (1, 2, 3):
             all_equal = all_equal.concat(s.keys[j].x0)
