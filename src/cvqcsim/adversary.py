@@ -332,13 +332,18 @@ _SESSIONS: dict[str, type[ServerSession]] = {
 def parse_strategy(spec: dict | str) -> Strategy:
     """Build a Strategy from a name or a CLI-style blob, e.g.
     {"attack": "phase_offset", "f": "shift:1", "g": "identity"}.  The
-    strategy's ``spec`` is the blob's canonical form, which reports echo."""
+    strategy's ``spec`` is the blob's canonical form, which reports echo.
+    Raises ValueError on an unknown name or on a key the strategy does not
+    take (only ``phase_offset`` takes ``f`` and ``g``)."""
     if isinstance(spec, str):
         spec = {"attack": spec}
     name = spec.get("attack", "honest")
-    cls = _SESSIONS.get(name)
+    cls = _SESSIONS.get(name) if isinstance(name, str) else None
     if cls is None:
         raise ValueError(f"unknown strategy {name!r}")
+    unknown = set(spec) - ({"attack", "f", "g"} if cls is PhaseOffsetSession else {"attack"})
+    if unknown:
+        raise ValueError(f"strategy {name!r} takes no key {sorted(unknown)}")
     if cls is PhaseOffsetSession:
         f, g = spec.get("f", "identity"), spec.get("g", "identity")
         fns = (parse_phase_fn(f), parse_phase_fn(g))

@@ -38,14 +38,6 @@ from .oracle import RandomOracle
 from .protocol import ROUND_TYPES, check_size, run_pre_rspv
 
 
-def _strategy_arg(text: str):
-    try:
-        spec = json.loads(text) if text.lstrip().startswith("{") else text
-        return parse_strategy(spec)
-    except (ValueError, json.JSONDecodeError) as e:
-        raise argparse.ArgumentTypeError(str(e))
-
-
 def _seed_arg(text: str) -> bytes:
     try:
         return bytes.fromhex(text)
@@ -64,6 +56,9 @@ def _grid_arg(text: str) -> list[int]:
 
 
 _SIZE_DEFAULTS = {"L": 2, "kappa": 16}
+# amplify config-file key -> the flag's attribute name
+_CONFIG_KEYS = {"L": "L", "kappa": "kappa", "seed": "seed", "N_temp": "n_temp", "win_slack": "win_slack",
+                "N_rspv": "n_rspv"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, sessions=False):
         sp.add_argument("--L", type=int, default=_SIZE_DEFAULTS["L"], help="output gadget count")
         sp.add_argument("--kappa", type=int, default=_SIZE_DEFAULTS["kappa"], help="key width in bits")
-        sp.add_argument("--strategy", type=_strategy_arg, default=parse_strategy("honest"),
+        sp.add_argument("--strategy", default="honest",
                         help='strategy name or JSON, e.g. \'{"attack":"phase_offset","g":"bump:3"}\'')
         sp.add_argument("--seed", type=_seed_arg, default=None, help="hex seed (default: fresh)")
         if sessions:
@@ -146,6 +141,9 @@ def _resolve_amplify(args) -> None:
             raw = json.load(f)
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, got {raw!r}")
+        unknown = set(raw) - set(_CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config key {sorted(unknown)}; known: {list(_CONFIG_KEYS)}")
         for key in ("L", "kappa", "N_temp", "N_rspv", "win_slack"):
             kind, what = ((int, float), "a number") if key == "win_slack" else (int, "an integer")
             if key in raw and (isinstance(raw[key], bool) or not isinstance(raw[key], kind)):
@@ -154,8 +152,7 @@ def _resolve_amplify(args) -> None:
             if not isinstance(raw["seed"], str):
                 raise ValueError(f"config seed must be a hex string, got {raw['seed']!r}")
             raw["seed"] = bytes.fromhex(raw["seed"])
-    for key, name in (("L", "L"), ("kappa", "kappa"), ("seed", "seed"),
-                      ("N_temp", "n_temp"), ("win_slack", "win_slack"), ("N_rspv", "n_rspv")):
+    for key, name in _CONFIG_KEYS.items():
         if getattr(args, name) is None:
             setattr(args, name, raw.get(key, _SIZE_DEFAULTS.get(name)))
     fields = {name: getattr(args, name) for name in ("n_temp", "win_slack", "n_rspv")}
@@ -260,13 +257,15 @@ def cmd_selftest(_args) -> int:
 
 
 def _check_input(args) -> None:
-    """Validate what argparse cannot — sizes, the amplify config file —
-    before any work starts.  Raises ValueError or OSError; errors past this
-    point are bugs and keep their traceback."""
+    """Validate what argparse cannot — sizes, the strategy, the amplify
+    config file — before any work starts.  Raises ValueError or OSError;
+    errors past this point are bugs and keep their traceback."""
     if args.cmd == "amplify":
         _resolve_amplify(args)
     if args.cmd in ("run", "stats", "amplify"):
         check_size(args.L, args.kappa)
+        text = args.strategy
+        args.strategy = parse_strategy(json.loads(text) if text.lstrip().startswith("{") else text)
     elif args.cmd == "bench":
         check_size(args.L_grid[0], args.kappa)
     for cmd, name in (("stats", "sessions"), ("stats", "workers"), ("bench", "sessions_per_l")):

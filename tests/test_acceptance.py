@@ -15,7 +15,7 @@ import pytest
 from scipy.stats import chisquare
 
 import cvqcsim.adversary as adv
-from cvqcsim.adversary import HELPER, OPT, expected_inph_rates, parse_phase_fn
+from cvqcsim.adversary import OPT, expected_inph_rates, parse_phase_fn
 from cvqcsim.amplify import AmplificationConfig, chernoff_bound, run_pre_rspv_temp, run_rspv
 from cvqcsim.bits import Bits
 from cvqcsim.cli import main

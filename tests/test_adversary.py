@@ -45,6 +45,18 @@ def test_parse_unknown_strategy():
 
 
 @pytest.mark.parametrize(
+    "spec",
+    [{"atack": "ghz_collapse"}, {"attack": "honest", "f": "negate"},
+     {"attack": "phase_offset", "G": "bump:3"}, {"attack": ["honest"]}],
+)
+def test_parse_rejects_keys_the_strategy_does_not_take(spec):
+    # each used to run another strategy than asked (honest, or identity
+    # phases) or end in a TypeError
+    with pytest.raises(ValueError):
+        parse_strategy(spec)
+
+
+@pytest.mark.parametrize(
     "spec,inp,out",
     [
         ("identity", 5, 5),

@@ -178,9 +178,6 @@ def test_cli_usage_errors_exit_2():
         main(["run", "--seed", "not-hex"])
     assert e.value.code == 2
     with pytest.raises(SystemExit) as e:
-        main(["run", "--strategy", "no_such_strategy"])
-    assert e.value.code == 2
-    with pytest.raises(SystemExit) as e:
         main(["bench", "--L-grid", "4,2"])
     assert e.value.code == 2
 
@@ -217,6 +214,12 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys):
         cfg = tmp_path / "bad_type.json"
         cfg.write_text(json.dumps(raw))
         assert key in _cli_error(["amplify", "--config", str(cfg)], capsys)
+    cfg = tmp_path / "unknown_key.json"
+    cfg.write_text(json.dumps({"n_temp": 5, "L": 1, "kappa": 8}))  # ran with N_temp=2000
+    assert "n_temp" in _cli_error(["amplify", "--config", str(cfg)], capsys)
+    for spec, key in (("no_such_strategy", "no_such_strategy"), ('{"atack":"ghz_collapse"}', "atack"),
+                      ('{"attack":"phase_offset","G":"bump:3"}', "G"), ("{not json", "")):
+        assert key in _cli_error(["run", "--kappa", "8", "--strategy", spec], capsys)
 
 
 def test_cli_internal_errors_keep_their_traceback(monkeypatch):

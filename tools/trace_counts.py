@@ -1,0 +1,59 @@
+"""Per-session work counts of the benchmark workloads over a fixed session set.
+
+    python tools/trace_counts.py [checkout]
+
+Imports ``perfbench/workloads.py`` and ``perfbench/tracer.py`` from
+`checkout` (default: this repository), changing neither, and runs a fixed
+number of rounds of each workload under the tracer: 20 rounds of honest-L8,
+4 of fold-L512 and 200 of recorded-mix-L8, all from seed 424242.  Prints one
+JSON object per workload with its ``attempted`` and ``failed`` session counts
+and every per-session metric that is not a time, so two checkouts compare
+count for count.  ``perfbench/run.py --trace 1`` replays a time-dependent
+number of rounds, so its counts do not compare this way.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+
+SEED = 424242
+ROUNDS = {"honest-L8": 20, "fold-L512": 4, "recorded-mix-L8": 200}
+TIME_SUFFIXES = ("_ms", "_us_per_gadget")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print("usage: python tools/trace_counts.py [checkout]", file=sys.stderr)
+        return 2
+    checkout = os.path.abspath(argv[0] if argv else os.path.join(os.path.dirname(__file__), os.pardir))
+    sys.path.insert(0, os.path.join(checkout, "perfbench"))
+    import workloads
+    from tracer import Tracer
+
+    cv = workloads.import_program()
+    report = {}
+    for name, rounds in ROUNDS.items():
+        workload = workloads.WORKLOADS[name](cv, SEED)
+        workload.warmup()
+        tracer = Tracer(cv)
+        tracer.install()
+        try:
+            workloads.run_rounds(workload, 0, rounds)
+        finally:
+            tracer.uninstall()
+        workload.finish()
+        metrics = {k: v for k, v in sorted(tracer.metrics().items()) if not k.endswith(TIME_SUFFIXES)}
+        report[name] = {
+            "attempted": workload.attempted,
+            "failed": workload.failed,
+            "correct": not workload.problems,
+            "metrics": metrics,
+        }
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
