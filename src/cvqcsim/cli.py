@@ -265,7 +265,10 @@ def _check_input(args) -> None:
     if args.cmd in ("run", "stats", "amplify"):
         check_size(args.L, args.kappa)
         text = args.strategy
-        args.strategy = parse_strategy(json.loads(text) if text.lstrip().startswith("{") else text)
+        try:
+            args.strategy = parse_strategy(json.loads(text) if text.lstrip().startswith("{") else text)
+        except ValueError as e:  # json.JSONDecodeError is a ValueError
+            raise ValueError(f"--strategy: {e}") from None
     elif args.cmd == "bench":
         check_size(args.L_grid[0], args.kappa)
     for cmd, name in (("stats", "sessions"), ("stats", "workers"), ("bench", "sessions_per_l")):

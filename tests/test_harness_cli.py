@@ -218,7 +218,7 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys):
     cfg.write_text(json.dumps({"n_temp": 5, "L": 1, "kappa": 8}))  # ran with N_temp=2000
     assert "n_temp" in _cli_error(["amplify", "--config", str(cfg)], capsys)
     for spec, key in (("no_such_strategy", "no_such_strategy"), ('{"atack":"ghz_collapse"}', "atack"),
-                      ('{"attack":"phase_offset","G":"bump:3"}', "G"), ("{not json", "")):
+                      ('{"attack":"phase_offset","G":"bump:3"}', "G"), ("{not json", "--strategy")):
         assert key in _cli_error(["run", "--kappa", "8", "--strategy", spec], capsys)
 
 
