@@ -124,7 +124,7 @@ class ServerSession:
     # -- output -----------------------------------------------------------
     def decode_outputs(
         self, indices: list[int], revealed: list[KeyPair]
-    ) -> tuple[PlusStateVector, complex] | None:
+    ) -> tuple[PlusStateVector, int] | None:
         gs = [self.gadgets.pop(i) for i in indices]
         return decode_output(gs, revealed)
 

@@ -15,8 +15,8 @@ accept/reject:
 
 * ``run_cvqc`` — run RSPV at L sized to the delegated circuit, then hand the
   prepared states to a verifier plugin.  The reference plugin is a
-  simulation-trusted fidelity checker: it reads the decoded server state
-  directly and accepts iff it matches the client's targets.  Running an
+  simulation-trusted exact checker: it reads the decoded server state
+  directly and accepts iff its phases equal the client's targets.  Running an
   actual gadget-assisted delegated computation on top is out of scope.
 
 Reference-scale parameters (session counts around 10^2500 and win slack
@@ -123,14 +123,12 @@ def run_rspv(
 
 
 def fidelity_verifier(outputs: CompOutputs) -> bool:
-    """Reference verifier plugin: simulation-trusted fidelity check.
+    """Reference verifier plugin: simulation-trusted, exact.
 
     Reads the decoded server state directly (something only a simulator can
-    do) and accepts iff it matches the client's target phases to within
-    1e-9 — for honest-family states that means exactly.
+    do) and accepts iff its phases equal the client's targets — fidelity 1.
     """
-    fid = outputs.fidelity()
-    return fid is not None and fid >= 1 - 1e-9
+    return outputs.decoded is not None and outputs.decoded.thetas == outputs.client_thetas
 
 
 def run_cvqc(

@@ -55,13 +55,3 @@ class Bits(NamedTuple):
     def is_zero(self) -> bool:
         return self.value == 0
 
-
-def lowest_set_bit(b: Bits) -> int:
-    """Position (from the right, 0-based) of the lowest set bit; b must be nonzero."""
-    assert b.value != 0
-    return (b.value & -b.value).bit_length() - 1
-
-
-def flip_bit(b: Bits, pos_from_right: int) -> Bits:
-    assert 0 <= pos_from_right < b.width
-    return Bits(b.value ^ (1 << pos_from_right), b.width)

@@ -50,8 +50,8 @@ def _grid_arg(text: str) -> list[int]:
         grid = [int(v) for v in text.split(",") if v]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad L grid {text!r}")
-    if not grid or grid != sorted(grid):
-        raise argparse.ArgumentTypeError("L grid must be ascending")
+    if not grid or grid != sorted(set(grid)):
+        raise argparse.ArgumentTypeError("L grid must be strictly ascending")
     return grid
 
 

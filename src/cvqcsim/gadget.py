@@ -36,12 +36,11 @@ from dataclasses import dataclass
 from random import Random
 from typing import NamedTuple
 
-from .bits import Bits, flip_bit, lowest_set_bit
+from .bits import Bits
 from .oracle import RandomOracle
 from .tables import LookupTable, decrypt_row
 
 _SQ = math.sqrt(0.5)
-INV_SQRT2 = _SQ
 
 # e^{i k pi/4} for k = 0..7, from one sqrt(0.5) literal: ROOT8[(8-k) % 8] is
 # the exact complex conjugate of ROOT8[k], component by component.
@@ -143,7 +142,7 @@ def enumerate_hadamard_distribution(g: Gadget, pad: Bits, oracle: RandomOracle, 
     """
     w0, w1 = branch_words(g.keys, pad, oracle, kappa)
     n = w0.width
-    a0, a1 = ROOT8[g.t0] * INV_SQRT2, ROOT8[g.t1] * INV_SQRT2
+    a0, a1 = ROOT8[g.t0] * _SQ, ROOT8[g.t1] * _SQ
     out: dict[int, float] = {}
     for d in range(1 << n):
         s0 = -1.0 if (d & w0.value).bit_count() & 1 else 1.0
@@ -178,7 +177,7 @@ def hadamard_sample(g: Gadget, pad: Bits, oracle: RandomOracle, rng: Random) -> 
     c = 1 if rng.random() < parity_probs(g)[1] else 0
     d = Bits(rng.getrandbits(delta.width), delta.width)
     if d.parity_with(delta) != c:
-        d = flip_bit(d, lowest_set_bit(delta))
+        d = Bits(d.value ^ (delta.value & -delta.value), d.width)
     return d
 
 
@@ -222,10 +221,10 @@ def combine_step(
     return Bits(r[0, crossed], kappa), combined
 
 
-def decode_output(gadgets: list[Gadget], revealed_keys: list[KeyPair]) -> tuple[PlusStateVector, complex]:
+def decode_output(gadgets: list[Gadget], revealed_keys: list[KeyPair]) -> tuple[PlusStateVector, int]:
     """Honest decode: each theta = t1 - t0, yielding the product state
-    |+_theta(1)> x ... plus a global phase, the ROOT8 entry of the summed
-    branch-0 phases.
+    |+_theta(1)> x ... times the global phase e^{i k pi/4}, where k is the sum
+    of the branch-0 phases mod 8.
 
     Gadget branch order must match the revealed key pairs (an X-corrected
     server swaps its branches first).
@@ -239,7 +238,7 @@ def decode_output(gadgets: list[Gadget], revealed_keys: list[KeyPair]) -> tuple[
             raise TableMismatch("gadget keys do not match revealed pair")
         thetas.append((g.t1 - g.t0) % 8)
         phase += g.t0
-    return PlusStateVector(tuple(thetas)), ROOT8[phase % 8]
+    return PlusStateVector(tuple(thetas)), phase % 8
 
 
 def fidelity_ideal(decoded: PlusStateVector, client_thetas: list[int] | tuple[int, ...]) -> float:

@@ -56,9 +56,8 @@ def master_seed_from(rng) -> bytes:
     """Normalize any seed-ish argument to a 32-byte master seed."""
     if isinstance(rng, Random):
         return rng.randbytes(32)
-    if isinstance(rng, (bytes, bytearray)):
-        b = bytes(rng)
-        return b if len(b) == 32 else Random(b).randbytes(32)
+    if isinstance(rng, (bytes, bytearray)) and len(rng) == 32:
+        return bytes(rng)
     return Random(rng).randbytes(32)
 
 
@@ -209,10 +208,13 @@ def scaling_bench(kappa: int, l_grid: list[int], sessions_per_l: int, rng) -> Be
     Row seconds are wall time, not scaled to host speed, so only the
     doubling ratios within one run compare; rows of two runs or commits do
     not.  Timing is the payload here, so bench reports are exempt from
-    byte-replay.
+    byte-replay.  Raises ValueError unless the grid is nonempty and strictly
+    ascending and sessions_per_l >= 1.
     """
-    if list(l_grid) != sorted(l_grid) or len(l_grid) < 1:
-        raise ValueError("l_grid must be ascending and nonempty")
+    if not l_grid or list(l_grid) != sorted(set(l_grid)):
+        raise ValueError(f"l_grid must be strictly ascending and nonempty, got {l_grid}")
+    if sessions_per_l < 1:
+        raise ValueError(f"sessions_per_l must be >= 1, got {sessions_per_l}")
     master = master_seed_from(rng)
     strat = parse_strategy("honest")
     for L in l_grid:
@@ -225,9 +227,7 @@ def scaling_bench(kappa: int, l_grid: list[int], sessions_per_l: int, rng) -> Be
             run_pre_rspv(strat, derive_seed(master, f"bench-{L}", i), kappa=kappa, L=L, force_plan="comp")
             times[L].append(time.perf_counter() - t0)
     rows = [{"L": L, "median_s": statistics.median(times[L])} for L in l_grid]
-    ratios = []
-    for a, b in zip(rows, rows[1:]):
-        ratios.append((b["median_s"] / a["median_s"]) / (b["L"] / a["L"]))
+    ratios = [(b["median_s"] / a["median_s"]) / (b["L"] / a["L"]) for a, b in zip(rows, rows[1:])]
     return BenchReport(
         kappa=kappa,
         sessions_per_l=sessions_per_l,

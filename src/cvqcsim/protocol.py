@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from .adversary import HELPER, ServerSession, Strategy
-from .gadget import KeyPair, PlusStateVector, TableMismatch, branch_words, fidelity_ideal, merge_keys
+from .gadget import ROOT8, KeyPair, PlusStateVector, TableMismatch, branch_words, fidelity_ideal, merge_keys
 from .ntcf import claw_partner, dec, eval_claw, keygen
 from .oracle import RandomOracle, fresh_pad
 from .tables import TagCollision, make_combine_table, make_phase_table, table_payload
@@ -121,8 +121,8 @@ def open_session(
 ) -> ClientSession:
     """Derive the oracle, client and server streams from `seed` and start
     the server; sizes are not checked (``run_pre_rspv`` does that)."""
-    if not isinstance(seed, (type(None), int, float, str, bytes, bytearray)):
-        seed = repr(seed)  # hash-based Random seeding is deprecated; stringify
+    if isinstance(seed, tuple):
+        seed = repr(seed)  # Random rejects tuples; any other non-primitive raises
     master = Random(seed)
     oracle = RandomOracle(master.randbytes(32))
     client_rng = Random(master.randbytes(32))
@@ -134,7 +134,7 @@ def open_session(
 class CompOutputs:
     client_thetas: tuple[int, ...]
     decoded: PlusStateVector | None
-    global_phase: complex | None
+    global_phase: int | None  # k of the global phase e^{i k pi/4}
 
     def fidelity(self) -> float | None:
         if self.decoded is None:
@@ -368,9 +368,10 @@ def run_comp_round(s: ClientSession) -> tuple[bool, CompOutputs]:
     if out is None:
         tr.say("server", "comp.state", {"decoded": None})
         return flag, CompOutputs(client_thetas, None, None)
-    state, phase = out
-    tr.say("server", "comp.state", {"decoded": list(state.thetas), "phase": [phase.real, phase.imag]})
-    return flag, CompOutputs(client_thetas, state, phase)
+    state, k = out
+    if tr.recording:
+        tr.say("server", "comp.state", {"decoded": list(state.thetas), "phase": [ROOT8[k].real, ROOT8[k].imag]})
+    return flag, CompOutputs(client_thetas, state, k)
 
 
 def run_pre_rspv(

@@ -145,8 +145,13 @@ def test_conjugate_matches_honest_per_seed():
 
 def test_conjugate_comp_global_phase_is_an_exact_root8_entry():
     for seed in ("golden-0", "golden-1", "root8"):
-        out = run_pre_rspv(parse_strategy("conjugate"), seed, kappa=8, L=3, force_plan="comp")
-        assert out.outputs.global_phase in ROOT8
+        out = run_pre_rspv(
+            parse_strategy("conjugate"), seed, kappa=8, L=3, force_plan="comp", collect_transcript=True
+        )
+        k = out.outputs.global_phase
+        assert k in range(8)
+        (state,) = [e for e in out.transcript.entries if e["step"] == "comp.state"]
+        assert state["payload"]["phase"] == [ROOT8[k].real, ROOT8[k].imag]
 
 
 def test_global_phase_shift4_matches_honest_per_seed():

@@ -1,0 +1,42 @@
+"""The benchmark's view of the program.
+
+``perfbench/tracer.py`` wraps ``cvqcsim`` functions by module-attribute name,
+and ``perfbench`` rebuilds comp-round outputs from their fields.  A refactor
+that renames, inlines or reshapes any of these breaks the benchmark but no
+other test, so this module drives the tracer itself, unchanged, over one
+forced session per round type.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import cvqcsim
+import cvqcsim.harness  # noqa: F401  (imports every layer the tracer patches)
+from cvqcsim.adversary import parse_strategy
+from cvqcsim.protocol import ROUND_TYPES
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def test_tracer_installs_and_traces_one_session_per_round_type():
+    tracer = _load_tracer()(cvqcsim)
+    tracer.install()  # raises if a traced name is gone
+    try:
+        run, honest = cvqcsim.protocol.run_pre_rspv, parse_strategy("honest")
+        outs = {plan: run(honest, ("interface", plan), kappa=8, L=2, force_plan=plan) for plan in ROUND_TYPES}
+    finally:
+        tracer.uninstall()
+    assert len(tracer.sessions) == 6
+    assert [rt for _, rt, _ in tracer.sessions] == list(ROUND_TYPES)
+    assert all(out.flag for out in outs.values())
+
+    o = outs["comp"].outputs
+    assert o.decoded is not None
+    assert type(o)(o.client_thetas, type(o.decoded)(o.decoded.thetas), o.global_phase) == o

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvqcsim.bits import Bits, flip_bit, lowest_set_bit
+from cvqcsim.bits import Bits
 
 
 @st.composite
@@ -34,12 +34,6 @@ class TestOps:
     def test_xor_width_mismatch_asserts(self):
         with pytest.raises(AssertionError):
             Bits(1, 2).xor(Bits(1, 3))
-
-    def test_lowest_set_bit_and_flip(self):
-        b = Bits(0b0110, 4)
-        assert lowest_set_bit(b) == 1
-        assert flip_bit(b, 1) == Bits(0b0100, 4)
-        assert flip_bit(b, 3) == Bits(0b1110, 4)
 
     @settings(max_examples=60)
     @given(bitstrings(), bitstrings())

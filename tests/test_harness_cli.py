@@ -154,6 +154,13 @@ def test_scaling_bench_rejects_bad_grid():
         scaling_bench(6, [4, 2], 2, 0)
     with pytest.raises(ValueError):
         scaling_bench(6, [], 2, 0)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        scaling_bench(6, [2, 2], 2, 0)
+
+
+def test_scaling_bench_rejects_no_sessions():
+    with pytest.raises(ValueError, match="sessions_per_l"):
+        scaling_bench(8, [2], 0, b"x")
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -177,9 +184,10 @@ def test_cli_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["run", "--seed", "not-hex"])
     assert e.value.code == 2
-    with pytest.raises(SystemExit) as e:
-        main(["bench", "--L-grid", "4,2"])
-    assert e.value.code == 2
+    for grid in ("4,2", "2,2"):
+        with pytest.raises(SystemExit) as e:
+            main(["bench", "--L-grid", grid])
+        assert e.value.code == 2
 
 
 def _cli_error(argv, capsys) -> str:

@@ -8,8 +8,10 @@ number of rounds of each workload under the tracer: 20 rounds of honest-L8,
 4 of fold-L512 and 200 of recorded-mix-L8, all from seed 424242.  Prints one
 JSON object per workload with its ``attempted`` and ``failed`` session counts
 and every per-session metric that is not a time, so two checkouts compare
-count for count.  ``perfbench/run.py --trace 1`` replays a time-dependent
-number of rounds, so its counts do not compare this way.
+count for count.  Exits 1 when any workload has a failed session or an
+incorrect outcome, so a count comparison can gate on it.
+``perfbench/run.py --trace 1`` replays a time-dependent number of rounds, so
+its counts do not compare this way.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def main(argv: list[str]) -> int:
             "metrics": metrics,
         }
     print(json.dumps(report, indent=1))
-    return 0
+    return int(any(r["failed"] > 0 or not r["correct"] for r in report.values()))
 
 
 if __name__ == "__main__":
