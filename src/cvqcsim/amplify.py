@@ -29,26 +29,26 @@ Chernoff reasoning at runnable scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .adversary import OPT, Strategy
 from .protocol import P_QUIZ, CompOutputs, run_pre_rspv
 
 
-@dataclass(frozen=True)
 class AmplificationConfig:
-    n_temp: int = 2000
-    win_slack: float = 0.02
-    n_rspv: int = 100
+    """Block sizes and win slack; bad values are rejected on construction."""
 
-    def __post_init__(self) -> None:
-        if self.n_temp < 1:
+    __slots__ = ("n_temp", "win_slack", "n_rspv")
+
+    def __init__(self, n_temp: int = 2000, win_slack: float = 0.02, n_rspv: int = 100) -> None:
+        if n_temp < 1:
             raise ValueError("n_temp must be >= 1")
-        if not 0 < self.win_slack < OPT:
+        if not 0 < win_slack < OPT:
             raise ValueError(f"win_slack must be in (0, {OPT})")
-        if self.n_rspv < 1:
+        if n_rspv < 1:
             raise ValueError("n_rspv must be >= 1")
+        self.n_temp, self.win_slack, self.n_rspv = n_temp, win_slack, n_rspv
 
 
 def win_threshold(cfg: AmplificationConfig) -> float:
@@ -63,8 +63,7 @@ def win_threshold(cfg: AmplificationConfig) -> float:
     return cfg.n_temp * (P_QUIZ * OPT - cfg.win_slack)
 
 
-@dataclass(frozen=True)
-class PreRspvTempResult:
+class PreRspvTempResult(NamedTuple):
     flag: bool
     outputs: CompOutputs | None  # set iff the sampled session was a computation round
     wins: int
@@ -72,15 +71,13 @@ class PreRspvTempResult:
     picked: int | None
 
 
-@dataclass(frozen=True)
-class RspvResult:
+class RspvResult(NamedTuple):
     flag: bool
     outputs: CompOutputs | None
     temp_calls: int
 
 
-@dataclass(frozen=True)
-class CvqcResult:
+class CvqcResult(NamedTuple):
     accepted: bool
     rspv: RspvResult
 

@@ -32,7 +32,6 @@ equivalence tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
 from typing import NamedTuple
 
@@ -77,8 +76,7 @@ class Gadget(NamedTuple):
     t1: int
 
 
-@dataclass(frozen=True, slots=True)
-class PlusStateVector:
+class PlusStateVector(NamedTuple):
     thetas: tuple[int, ...]
 
 

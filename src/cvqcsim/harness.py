@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
 import time
-from dataclasses import asdict, dataclass, field
 from random import Random
+from typing import NamedTuple
 
 from .adversary import Strategy, parse_strategy
 from .oracle import derive_seed
@@ -61,8 +60,7 @@ def master_seed_from(rng) -> bytes:
     return Random(rng).randbytes(32)
 
 
-@dataclass
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     strategy: dict
     kappa: int
     L: int
@@ -77,7 +75,7 @@ class ExperimentReport:
     comp_count: int
     comp_decoded: int
     comp_fidelity_mean: float | None
-    elapsed_s: float = field(default=0.0, compare=False)
+    elapsed_s: float = 0.0
 
     def rates(self, z: float = _Z95) -> dict[str, tuple[float, float, float]]:
         return {
@@ -90,7 +88,7 @@ class ExperimentReport:
         }
 
     def to_dict(self, timing: bool = False) -> dict:
-        out = asdict(self)
+        out = self._asdict()
         elapsed = out.pop("elapsed_s")
         out["rates_95"] = {k: list(v) for k, v in self.rates().items()}
         if timing:
@@ -184,8 +182,7 @@ def estimate_rates(
     )
 
 
-@dataclass
-class BenchReport:
+class BenchReport(NamedTuple):
     kappa: int
     sessions_per_l: int
     seed: str
@@ -193,7 +190,7 @@ class BenchReport:
     doubling_ratios: list[float]  # time ratio per L doubling, normalized by L ratio
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":")) + "\n"
+        return json.dumps(self._asdict(), separators=(",", ":")) + "\n"
 
 
 def scaling_bench(kappa: int, l_grid: list[int], sessions_per_l: int, rng) -> BenchReport:
@@ -215,6 +212,8 @@ def scaling_bench(kappa: int, l_grid: list[int], sessions_per_l: int, rng) -> Be
         raise ValueError(f"l_grid must be strictly ascending and nonempty, got {l_grid}")
     if sessions_per_l < 1:
         raise ValueError(f"sessions_per_l must be >= 1, got {sessions_per_l}")
+    from statistics import median
+
     master = master_seed_from(rng)
     strat = parse_strategy("honest")
     for L in l_grid:
@@ -226,7 +225,7 @@ def scaling_bench(kappa: int, l_grid: list[int], sessions_per_l: int, rng) -> Be
             t0 = time.perf_counter()
             run_pre_rspv(strat, derive_seed(master, f"bench-{L}", i), kappa=kappa, L=L, force_plan="comp")
             times[L].append(time.perf_counter() - t0)
-    rows = [{"L": L, "median_s": statistics.median(times[L])} for L in l_grid]
+    rows = [{"L": L, "median_s": median(times[L])} for L in l_grid]
     ratios = [(b["median_s"] / a["median_s"]) / (b["L"] / a["L"]) for a, b in zip(rows, rows[1:])]
     return BenchReport(
         kappa=kappa,

@@ -45,8 +45,8 @@ through one shared ``JSONEncoder`` without the cycle check (messages are trees).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from random import Random
+from typing import NamedTuple
 
 from .adversary import HELPER, ServerSession, Strategy
 from .gadget import ROOT8, KeyPair, PlusStateVector, TableMismatch, branch_words, fidelity_ideal, merge_keys
@@ -99,21 +99,20 @@ class Transcript:
 NULL_TRANSCRIPT = Transcript(recording=False)  # shared sink for bulk runs
 
 
-@dataclass(slots=True)
 class ClientSession:
     """One session's shared state: the server, the transcript, the oracle,
     the client's random stream and sizes, the client's key pairs per block
     (filled in by ``run_setup``) and relative phases theta1 - theta0 mod 8
     (``run_add_phase``)."""
 
-    server: ServerSession
-    tr: Transcript
-    oracle: RandomOracle
-    rng: Random
-    kappa: int
-    L: int
-    keys: dict[int, KeyPair] = field(default_factory=dict)
-    thetas: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("server", "tr", "oracle", "rng", "kappa", "L", "keys", "thetas")
+
+    def __init__(
+        self, server: ServerSession, tr: Transcript, oracle: RandomOracle, rng: Random, kappa: int, L: int
+    ) -> None:
+        self.server, self.tr, self.oracle, self.rng, self.kappa, self.L = server, tr, oracle, rng, kappa, L
+        self.keys: dict[int, KeyPair] = {}
+        self.thetas: dict[int, int] = {}
 
 
 def open_session(
@@ -130,8 +129,7 @@ def open_session(
     return ClientSession(strategy.begin(oracle, server_rng, kappa), tr, oracle, client_rng, kappa, L)
 
 
-@dataclass(frozen=True)
-class CompOutputs:
+class CompOutputs(NamedTuple):
     client_thetas: tuple[int, ...]
     decoded: PlusStateVector | None
     global_phase: int | None  # k of the global phase e^{i k pi/4}
@@ -142,14 +140,20 @@ class CompOutputs:
         return fidelity_ideal(self.decoded, self.client_thetas)
 
 
-@dataclass(frozen=True)
 class SessionOutcome:
-    round_type: str
-    flag: bool
-    score: bool | None = None
-    quiz_delta: int | None = None
-    outputs: CompOutputs | None = None
-    transcript: Transcript | None = None
+    """One session's result; its fields are plain attributes in ``__dict__``."""
+
+    def __init__(
+        self,
+        round_type: str,
+        flag: bool,
+        score: bool | None = None,
+        quiz_delta: int | None = None,
+        outputs: CompOutputs | None = None,
+        transcript: Transcript | None = None,
+    ) -> None:
+        self.round_type, self.flag, self.score = round_type, flag, score
+        self.quiz_delta, self.outputs, self.transcript = quiz_delta, outputs, transcript
 
 
 def run_setup(s: ClientSession) -> bool:
@@ -366,7 +370,8 @@ def run_comp_round(s: ClientSession) -> tuple[bool, CompOutputs]:
     out = s.server.decode_outputs(indices, revealed)
     client_thetas = tuple(s.thetas[i] for i in indices)
     if out is None:
-        tr.say("server", "comp.state", {"decoded": None})
+        if tr.recording:
+            tr.say("server", "comp.state", {"decoded": None})
         return flag, CompOutputs(client_thetas, None, None)
     state, k = out
     if tr.recording:

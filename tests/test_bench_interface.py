@@ -40,3 +40,18 @@ def test_tracer_installs_and_traces_one_session_per_round_type():
     o = outs["comp"].outputs
     assert o.decoded is not None
     assert type(o)(o.client_thetas, type(o.decoded)(o.decoded.thetas), o.global_phase) == o
+
+
+def test_session_outcome_fields_live_in_its_dict():
+    # perfbench's test stand-in copies an outcome's __dict__ field by field
+    out = cvqcsim.protocol.run_pre_rspv(parse_strategy("honest"), ("interface", "dict"), kappa=8, L=2)
+    assert set(vars(out)) == {"round_type", "flag", "score", "quiz_delta", "outputs", "transcript"}
+
+
+def test_report_json_ignores_elapsed_time():
+    report = cvqcsim.harness.estimate_rates(1, 8, 20, parse_strategy("honest"), b"interface")
+    assert "elapsed_s" not in report.to_dict()
+    assert report.to_dict(timing=True)["elapsed_s"] == report.elapsed_s
+    later = report._replace(elapsed_s=report.elapsed_s + 1.0)
+    assert later.to_json() == report.to_json()
+    assert later.to_json(timing=True) != report.to_json(timing=True)

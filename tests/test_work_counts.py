@@ -7,6 +7,9 @@ so these tests pin how much work a session does without timing anything.
 """
 
 import gc
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -18,6 +21,7 @@ import cvqcsim.protocol as protocol
 from cvqcsim.bits import Bits
 from cvqcsim.protocol import ROUND_TYPES, run_pre_rspv
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 HONEST = adv.parse_strategy("honest")
 STRATEGIES = ("honest", "conjugate", "ghz_collapse", "random_response", "corrupt_setup")
 
@@ -214,3 +218,14 @@ def test_forgotten_entries_are_never_recomputed(counts, monkeypatch):
     out = run_pre_rspv(HONEST, "recompute-512", kappa=16, L=512, force_plan="prep:coph")
     assert out.flag
     assert tally["oracle"] == len(keys) > 0
+
+
+def test_cold_import_leaves_out_dataclasses_inspect_and_statistics():
+    # every process pays for its imports before its first session
+    probe = (
+        "import sys, cvqcsim.harness, cvqcsim.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'statistics') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
