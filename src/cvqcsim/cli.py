@@ -12,8 +12,9 @@ Subcommands:
 Exit codes: 0 success, 1 protocol rejection (amplify) or selftest failure,
 2 usage errors — bad arguments, out-of-range sizes, unreadable or malformed
 config files — reported as one ``error:`` line on stderr.  Seeds are hex
-strings; every report echoes the master seed it actually used, so any run
-can be replayed bit-exactly.
+strings; every report echoes the master seed it actually used (``run``
+writes a freshly drawn one to stderr as ``seed: <hex>``), so any run can be
+replayed bit-exactly.
 """
 
 from __future__ import annotations
@@ -293,6 +294,8 @@ def main(argv=None) -> int:
         return 2
     if getattr(args, "seed", b"") is None:  # no --seed (nor config seed): a fresh one
         args.seed = Random().randbytes(32)
+        if args.cmd == "run":  # its stdout is the transcript, which holds no seed
+            print(f"seed: {args.seed.hex()}", file=sys.stderr)
     return handler(args)
 
 

@@ -37,9 +37,9 @@ plus its own round arguments, so tests can open a session, run ``run_setup``
 and drive a single round shape directly (e.g. hammer the Hadamard test with a
 fixed delta) without fighting the dispatcher.
 
-Per-gadget payloads are built only when recording; bulk runs pass the
-non-recording ``NULL_TRANSCRIPT``.  ``to_jsonl`` writes ``json.dumps``'s bytes
-through one shared ``JSONEncoder`` without the cycle check (messages are trees).
+A transcript keeps each message as its finished JSON line, rendered once by
+its say site (``to_jsonl`` joins them); payloads are rendered only when
+recording, and bulk runs pass the non-recording ``NULL_TRANSCRIPT``.
 """
 
 from __future__ import annotations
@@ -74,26 +74,30 @@ def check_size(L: int, kappa: int) -> None:
 
 
 class Transcript:
-    """Append-only message log; one JSON object per message.
+    """Append-only message log; one compact JSON line per message.
 
-    A non-recording transcript drops every message; callers check
-    ``recording`` before building a payload that costs work.
+    ``say`` takes the payload's JSON text.  A non-recording transcript drops
+    every message; callers check ``recording`` before rendering a payload.
     """
 
-    __slots__ = ("entries", "recording")
+    __slots__ = ("lines", "recording")
 
     def __init__(self, recording: bool = True) -> None:
-        self.entries: list[dict] = []
+        self.lines: list[str] = []
         self.recording = recording
 
-    def say(self, sender: str, step: str, payload: dict) -> None:
+    def say(self, sender: str, step: str, payload: str) -> None:
         if self.recording:
-            self.entries.append(
-                {"seq": len(self.entries), "sender": sender, "step": step, "payload": payload}
-            )
+            lines = self.lines
+            lines.append('{"seq":%d,"sender":"%s","step":"%s","payload":%s}' % (len(lines), sender, step, payload))
+
+    @property
+    def entries(self) -> list[dict]:
+        """The messages parsed back into dicts."""
+        return [json.loads(line) for line in self.lines]
 
     def to_jsonl(self) -> str:
-        return "\n".join(map(_encode, self.entries)) + "\n"
+        return "\n".join(self.lines) + "\n"
 
 
 NULL_TRANSCRIPT = Transcript(recording=False)  # shared sink for bulk runs
@@ -168,11 +172,11 @@ def run_setup(s: ClientSession) -> bool:
     for idx in (HELPER, *range(s.L + 1)):
         key = keygen(kappa, rng)
         if tr.recording:
-            tr.say("client", "setup.block", {"idx": idx, "kappa": kappa})
+            tr.say("client", "setup.block", '{"idx":%d,"kappa":%d}' % (idx, kappa))
         claw = eval_claw(key, server.rng)
         y = server.setup_block(idx, claw)
         if tr.recording:
-            tr.say("server", "setup.y", {"idx": idx, "y": y.token()})
+            tr.say("server", "setup.y", '{"idx":%d,"y":"%s"}' % (idx, y.token()))
         x0 = dec(key, 0, y)
         if x0 is None:
             return False
@@ -185,10 +189,10 @@ def run_stdb_test(s: ClientSession, keys: dict[int, KeyPair], indices: list[int]
     index's pair in `keys`."""
     tr = s.tr
     if tr.recording:
-        tr.say("client", "measure.std", {"idx": indices})
+        tr.say("client", "measure.std", '{"idx":[%s]}' % ",".join(map(str, indices)))
     resp = s.server.respond_std(indices)
     if tr.recording:
-        tr.say("server", "reply.std", {"values": [b.token() for b in resp]})
+        tr.say("server", "reply.std", '{"values":[%s]}' % ",".join(['"%s"' % b.token() for b in resp]))
     if len(resp) != len(indices):
         return False
     return all(r in keys[i] for i, r in zip(indices, resp))
@@ -210,14 +214,14 @@ def run_hadamard_test(
     if theta is not None:
         v = (theta - (delta or 0)) % 8
         if tr.recording:
-            tr.say("client", "reveal.phase", {"idx": idx, "v": v})
+            tr.say("client", "reveal.phase", '{"idx":%d,"v":%d}' % (idx, v))
         server.dephase_reveal(idx, v)
     pad = fresh_pad(s.rng, kappa)
     if tr.recording:
-        tr.say("client", "hadamard.pad", {"idx": idx, "pad": pad.token()})
+        tr.say("client", "hadamard.pad", '{"idx":%d,"pad":"%s"}' % (idx, pad.token()))
     d = server.respond_hadamard(idx, pad)
     if tr.recording:
-        tr.say("server", "reply.hadamard", {"idx": idx, "d": d.token()})
+        tr.say("server", "reply.hadamard", '{"idx":%d,"d":"%s"}' % (idx, d.token()))
     if d.width != keys.x0.width + kappa or d.suffix(kappa).is_zero:
         return False, None
     w0, w1 = branch_words(keys, pad, s.oracle, kappa)
@@ -240,7 +244,7 @@ def run_add_phase(s: ClientSession) -> bool:
         s.thetas[i] = theta
         table = make_phase_table(helper, keys[i], (0, theta), kappa, oracle, rng)
         if tr.recording:
-            tr.say("client", "phase.table", {"idx": i, "table": table_payload(table)})
+            tr.say("client", "phase.table", '{"idx":%d,"table":%s}' % (i, table_payload(table)))
         server.receive_phase_table(i, table)
         oracle.forget()
     ok, parity = run_hadamard_test(s, HELPER, helper, None, None)
@@ -268,11 +272,11 @@ def _fold(s: ClientSession, base: int, others: list[int]) -> tuple[KeyPair, int]
         ki, ti = keys[i], thetas[i]
         table = make_combine_table(kb, ki, r0, r1, kappa, oracle, rng)
         if tr.recording:
-            tr.say("client", "combine.table", {"base": base, "other": i, "table": table_payload(table)})
+            tr.say("client", "combine.table", '{"base":%d,"other":%d,"table":%s}' % (base, i, table_payload(table)))
         r = server.respond_combine(base, i, table)
         oracle.forget()
         if tr.recording:
-            tr.say("server", "reply.combine", {"r": r.token()})
+            tr.say("server", "reply.combine", '{"r":"%s"}' % r.token())
         if r != r0 and r != r1:
             return None
         crossed = int(r == r1)
@@ -339,7 +343,7 @@ def run_bn_test(s: ClientSession, force_coin: str | None = None) -> bool:
     for i in range(1, L + 1):
         v = thetas[i]
         if tr.recording:
-            tr.say("client", "reveal.phase", {"idx": i, "v": v})
+            tr.say("client", "reveal.phase", '{"idx":%d,"v":%d}' % (i, v))
         s.server.dephase_reveal(i, v)
         thetas[i] = 0
     while True:
@@ -365,17 +369,17 @@ def run_comp_round(s: ClientSession) -> tuple[bool, CompOutputs]:
     indices = list(range(1, s.L + 1))
     revealed = [s.keys[i] for i in indices]
     if tr.recording:
-        tokens = [[k.x0.token(), k.x1.token()] for k in revealed]
-        tr.say("client", "comp.reveal", {"idx": indices, "keys": tokens})
+        keys = ",".join(['["%s","%s"]' % (k.x0.token(), k.x1.token()) for k in revealed])
+        tr.say("client", "comp.reveal", '{"idx":[%s],"keys":[%s]}' % (",".join(map(str, indices)), keys))
     out = s.server.decode_outputs(indices, revealed)
     client_thetas = tuple(s.thetas[i] for i in indices)
     if out is None:
         if tr.recording:
-            tr.say("server", "comp.state", {"decoded": None})
+            tr.say("server", "comp.state", '{"decoded":null}')
         return flag, CompOutputs(client_thetas, None, None)
     state, k = out
     if tr.recording:
-        tr.say("server", "comp.state", {"decoded": list(state.thetas), "phase": [ROOT8[k].real, ROOT8[k].imag]})
+        tr.say("server", "comp.state", _encode({"decoded": state.thetas, "phase": [ROOT8[k].real, ROOT8[k].imag]}))
     return flag, CompOutputs(client_thetas, state, k)
 
 
@@ -406,7 +410,8 @@ def run_pre_rspv(
         if force_plan not in ROUND_TYPES:
             raise ValueError(f"unknown round type {force_plan!r}")
         plan = force_plan
-    tr.say("client", "round.plan", {"type": plan, "kappa": kappa, "L": L})
+    if tr.recording:
+        tr.say("client", "round.plan", '{"type":"%s","kappa":%d,"L":%d}' % (plan, kappa, L))
 
     score: bool | None = False if plan == "prep:inph" else None
     quiz_delta: int | None = None
@@ -434,9 +439,12 @@ def run_pre_rspv(
                 flag, outputs = run_comp_round(s)
     except (TableMismatch, TagCollision):
         flag = False
-        tr.say("server", "abort", {})
+        if tr.recording:
+            tr.say("server", "abort", "{}")
 
-    tr.say("client", "session.outcome", {"type": plan, "flag": flag, "score": score, "quiz_delta": quiz_delta})
+    if tr.recording:
+        outcome = {"type": plan, "flag": flag, "score": score, "quiz_delta": quiz_delta}
+        tr.say("client", "session.outcome", _encode(outcome))
     return SessionOutcome(
         round_type=plan,
         flag=flag,

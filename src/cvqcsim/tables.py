@@ -26,10 +26,11 @@ honest path never trips over one.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from random import Random
 from typing import NamedTuple
 
-from .bits import Bits, token_format
+from .bits import Bits
 from .oracle import RandomOracle
 
 Z8 = "Z8"
@@ -179,17 +180,15 @@ def make_combine_table(
     return _build_table(keys, kw, plaintexts, XOR, kappa, oracle, rng)
 
 
-def table_payload(table: LookupTable) -> dict:
-    """Canonical JSON-friendly form (transcript wire format)."""
-    fmt = token_format(table.kappa)
-    rows = [
-        {
-            "R": fmt(row.pad_r),
-            "ct": row.masked if table.group == Z8 else fmt(row.masked),
-            "Rp": fmt(row.pad_rp),
-            "tag": fmt(row.tag),
-        }
-        for row in table.rows
-    ]
-    return {"rows": rows, "group": table.group}
+@lru_cache(maxsize=256)
+def _row_template(kappa: int, group: str) -> str:
+    """One row's JSON as a ``%`` template over (pad_r, masked, pad_rp, tag):
+    each field a kappa-bit token (``bits.token_format``), the Z8 ``ct`` an int."""
+    token = f'"{kappa}:%0{(kappa + 3) // 4}x"'
+    return f'{{"R":{token},"ct":{"%d" if group == Z8 else token},"Rp":{token},"tag":{token}}}'
 
+
+def table_payload(table: LookupTable) -> str:
+    """The table's canonical JSON text (transcript wire format)."""
+    row = _row_template(table.kappa, table.group)
+    return '{"rows":[%s],"group":"%s"}' % (",".join([row % r for r in table.rows]), table.group)

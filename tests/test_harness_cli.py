@@ -180,6 +180,18 @@ def test_cli_run_replays_byte_identical(capsys):
         json.loads(line)
 
 
+def test_cli_run_reports_a_drawn_seed_that_replays(capsys):
+    argv = ["run", "--kappa", "8", "--L", "1"]
+    assert main(argv) == 0
+    drawn = capsys.readouterr()
+    (line,) = drawn.err.splitlines()
+    assert line.startswith("seed: ")
+    assert main([*argv, "--seed", line.removeprefix("seed: ")]) == 0
+    replay = capsys.readouterr()
+    assert replay.out == drawn.out
+    assert replay.err == ""  # a given seed is not echoed
+
+
 def test_cli_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["run", "--seed", "not-hex"])

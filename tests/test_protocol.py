@@ -52,8 +52,8 @@ def test_run_pre_rspv_rejects_degenerate_sizes(kwargs):
 
 def test_transcript_seq_and_jsonl_shape():
     tr = Transcript()
-    tr.say("client", "round.plan", {"type": "test"})
-    tr.say("server", "reply.std", {"values": []})
+    tr.say("client", "round.plan", '{"type":"test"}')
+    tr.say("server", "reply.std", '{"values":[]}')
     assert [e["seq"] for e in tr.entries] == [0, 1]
     text = tr.to_jsonl()
     assert text.endswith("\n")
@@ -64,7 +64,7 @@ def test_transcript_seq_and_jsonl_shape():
 
 
 def test_to_jsonl_matches_json_dumps_per_entry():
-    # the shared encoder writes the bytes json.dumps writes, message by message
+    # every recorded line is the bytes json.dumps writes for its parsed message
     specs = ("honest", "conjugate", {"attack": "phase_offset", "g": "bump:3"}, "random_response",
              "always_lose", "corrupt_setup", "ghz_collapse")
     for spec in specs:
@@ -78,7 +78,7 @@ def test_to_jsonl_matches_json_dumps_per_entry():
 
 def test_null_transcript_drops_messages():
     before = len(NULL_TRANSCRIPT.entries)
-    NULL_TRANSCRIPT.say("client", "x", {})
+    NULL_TRANSCRIPT.say("client", "x", "{}")
     assert len(NULL_TRANSCRIPT.entries) == before
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -203,7 +204,7 @@ class TestTableProperties:
             make_combine_table(ka, kb, r0, r1, KAPPA, o, rng),
             make_phase_table(ka, kb, (1, 4), KAPPA, o, rng),
         ):
-            p = table_payload(tbl)
+            p = json.loads(table_payload(tbl))
             fields = [[r[k] for k in ("R", "ct", "Rp", "tag")] for r in p["rows"]]
             rows = [[v if isinstance(v, int) else int(v.partition(":")[2], 16) for v in f] for f in fields]
             assert LookupTable(tuple(Ciphertext(*r) for r in rows), p["group"], KAPPA) == tbl
@@ -220,9 +221,31 @@ class TestTableProperties:
                 make_combine_table(ka, kb, r0, r1, kappa, o, rng),
                 make_phase_table(ka, kb, (1, 4), kappa, o, rng),
             ):
-                for row, r in zip(tbl.rows, table_payload(tbl)["rows"]):
+                for row, r in zip(tbl.rows, json.loads(table_payload(tbl))["rows"]):
                     assert r["R"] == Bits(row.pad_r, kappa).token()
                     assert r["Rp"] == Bits(row.pad_rp, kappa).token()
                     assert r["tag"] == Bits(row.tag, kappa).token()
                     ct = Bits(row.masked, kappa).token() if tbl.group == XOR else row.masked
                     assert r["ct"] == ct
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 24), st.sampled_from((Z8, XOR)), st.data())
+    def test_payload_text_matches_field_by_field_reference(self, kappa, group, data):
+        # the row template against a payload built from Bits tokens, field by field
+        word = st.integers(0, (1 << kappa) - 1)
+        ct = st.integers(0, 7) if group == Z8 else word
+        rows = data.draw(st.lists(st.tuples(word, ct, word, word), max_size=4))
+        tbl = LookupTable(tuple(Ciphertext(*r) for r in rows), group, kappa)
+        ref = {
+            "rows": [
+                {
+                    "R": Bits(r, kappa).token(),
+                    "ct": c if group == Z8 else Bits(c, kappa).token(),
+                    "Rp": Bits(rp, kappa).token(),
+                    "tag": Bits(tag, kappa).token(),
+                }
+                for r, c, rp, tag in rows
+            ],
+            "group": group,
+        }
+        assert json.loads(table_payload(tbl)) == ref

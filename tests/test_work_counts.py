@@ -58,14 +58,15 @@ def test_no_payload_or_token_work_unless_recording(counts):
     tally, patch = counts
     patch(protocol, "table_payload", "payload")
     patch(Bits, "token", "token")
-    for name in STRATEGIES:
+    patch(protocol.Transcript, "say", "say")
+    for name in adv._SESSIONS:
         for plan in ROUND_TYPES:
             run_pre_rspv(adv.parse_strategy(name), f"lazy-{plan}", kappa=8, L=3, force_plan=plan)
     assert tally == Counter()
-    # the same sessions recorded do reach both counters
+    # the same sessions recorded do reach every counter
     for plan in ("prep:coph", "comp"):
         run_pre_rspv(HONEST, f"lazy-{plan}", kappa=8, L=3, force_plan=plan, collect_transcript=True)
-    assert tally["payload"] > 0 and tally["token"] > 0
+    assert tally["payload"] > 0 and tally["token"] > 0 and tally["say"] > 0
 
 
 def test_prf_calls_per_gadget_are_linear_in_L(counts):
