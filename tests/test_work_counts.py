@@ -23,7 +23,6 @@ from cvqcsim.protocol import ROUND_TYPES, run_pre_rspv
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 HONEST = adv.parse_strategy("honest")
-STRATEGIES = ("honest", "conjugate", "ghz_collapse", "random_response", "corrupt_setup")
 
 
 @pytest.fixture
