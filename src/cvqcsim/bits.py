@@ -8,21 +8,21 @@ significant bit of ``value`` — concatenation shifts the left operand up, a
 in bits and may be zero (the empty string is a legal prefix).
 
 Tokens — the wire/JSON form — look like ``"12:0af"``: width in bits, colon,
-the value in lowercase hex padded to ceil(width/4) nibbles (``token_format``).
+the value in lowercase hex padded to ceil(width/4) nibbles (``token_field``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 
 @lru_cache(maxsize=256)
-def token_format(width: int) -> Callable[[int], str]:
-    """``token_format(w)(v) == Bits(v, w).token()``; at width 0 the template
-    has no field and ``str.format`` ignores the value."""
+def token_field(width: int) -> str:
+    """The token as a ``%`` template: ``token_field(w) % v == Bits(v, w).token()``;
+    at width 0 the ``%.0s`` field consumes the value and prints nothing."""
     nibbles = (width + 3) // 4
-    return (f"{width}:{{:0{nibbles}x}}" if nibbles else f"{width}:").format
+    return f"{width}:%0{nibbles}x" if nibbles else f"{width}:%.0s"
 
 
 class Bits(NamedTuple):
@@ -33,7 +33,7 @@ class Bits(NamedTuple):
         return self.token()
 
     def token(self) -> str:
-        return token_format(self.width)(self.value)
+        return token_field(self.width) % self.value
 
     def concat(self, other: Bits) -> Bits:
         return Bits((self.value << other.width) | other.value, self.width + other.width)

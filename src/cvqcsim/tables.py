@@ -26,11 +26,10 @@ honest path never trips over one.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from random import Random
 from typing import NamedTuple
 
-from .bits import Bits
+from .bits import Bits, token_field
 from .oracle import RandomOracle
 
 Z8 = "Z8"
@@ -180,15 +179,10 @@ def make_combine_table(
     return _build_table(keys, kw, plaintexts, XOR, kappa, oracle, rng)
 
 
-@lru_cache(maxsize=256)
-def _row_template(kappa: int, group: str) -> str:
-    """One row's JSON as a ``%`` template over (pad_r, masked, pad_rp, tag):
-    each field a kappa-bit token (``bits.token_format``), the Z8 ``ct`` an int."""
-    token = f'"{kappa}:%0{(kappa + 3) // 4}x"'
-    return f'{{"R":{token},"ct":{"%d" if group == Z8 else token},"Rp":{token},"tag":{token}}}'
-
-
 def table_payload(table: LookupTable) -> str:
-    """The table's canonical JSON text (transcript wire format)."""
-    row = _row_template(table.kappa, table.group)
+    """The table's canonical JSON text (transcript wire format): each row a
+    ``%`` template over (pad_r, masked, pad_rp, tag), every field a kappa-bit
+    token (``bits.token_field``) but the Z8 ``ct``, an int."""
+    token = '"%s"' % token_field(table.kappa)
+    row = '{"R":%s,"ct":%s,"Rp":%s,"tag":%s}' % (token, "%d" if table.group == Z8 else token, token, token)
     return '{"rows":[%s],"group":"%s"}' % (",".join([row % r for r in table.rows]), table.group)

@@ -1,15 +1,13 @@
 """Alternating parent/change pairs of the benchmark, summarised as JSON.
 
-    python tools/bench_pairs.py <parent-checkout> <change-checkout> --seed <n>
-        [--pairs 10] [--seconds <s>] [--workload <name> ...] > BENCH_<n>.json
+    python tools/bench_pairs.py <parent-checkout> <change-checkout> --seed <n> > BENCH_<n>.json
 
-Runs ``perfbench/run.py --trace 0`` of each checkout, in that checkout, once
-per side and pair for every workload named in ``BENCHMARK.json`` (or each
-``--workload``), flipping which side runs first on every pair: the parent
-runs first on even pairs.  ``--seconds`` defaults to the benchmark's
-``run_seconds``.  Refuses to run (exit 2) unless both checkouts hold the same
-``perfbench/`` tree and ``BENCHMARK.json``, so both sides are measured by one
-benchmark.  Changes no file under ``perfbench/``; ``run.py`` itself writes
+Runs ``perfbench/run.py --trace 0`` of each checkout, in that checkout, for
+the benchmark's ``run_seconds``, once per side and pair, 10 pairs for every
+workload named in ``BENCHMARK.json``, flipping which side runs first on every
+pair: the parent runs first on even pairs.  Refuses to run (exit 2) unless
+both checkouts hold the same ``perfbench/`` tree and ``BENCHMARK.json``, so
+both sides are measured by one benchmark.  Changes no file under ``perfbench/``; ``run.py`` itself writes
 its results under each checkout's ``.bench_out/``.
 
 Prints one JSON object.  Per workload and end-to-end metric: each side's
@@ -33,6 +31,7 @@ import subprocess
 import sys
 from statistics import median, quantiles
 
+PAIRS = 10  # alternating pairs per workload
 WIN_SHARE = 0.9  # share of pairs the change must win to count as better
 
 
@@ -86,12 +85,7 @@ def main(argv: list[str]) -> int:
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--seed", type=int, required=True, help="workload seed; pick one not used while building")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=None, help="default: BENCHMARK.json run_seconds")
-    ap.add_argument("--workload", action="append", default=None, help="repeatable; default: every workload")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be >= 2 (quartiles need two runs)")
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     try:
         trees = {side: _tree(path) for side, path in sides.items()}
@@ -104,19 +98,18 @@ def main(argv: list[str]) -> int:
         print(f"error: the checkouts' benchmarks differ: {differ}", file=sys.stderr)
         return 2
     bench = json.loads(trees["change"]["BENCHMARK.json"])
-    seconds = args.seconds or bench["run_seconds"]
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
 
     report = {
         "method": (f"python3 perfbench/run.py --workload <w> --seed {args.seed} --seconds {seconds} --trace 0 "
-                   f"in each checkout; {args.pairs} pairs per workload, parent first on even pairs"),
+                   f"in each checkout; {PAIRS} pairs per workload, parent first on even pairs"),
         "workloads": {},
     }
     bad = False
-    for workload in workloads:
+    for workload in [w["name"] for w in bench["workloads"]]:
         results: dict[str, list[dict]] = {"parent": [], "change": []}
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
                 result = _run(sides[side], workload, args.seed, seconds)
                 results[side].append(result)
@@ -132,7 +125,7 @@ def main(argv: list[str]) -> int:
                 all_correct=all(r["correct"] for r in runs),
             )
             bad |= row[side]["failed"] > 0 or not row[side]["all_correct"]
-        row["pairs"] = args.pairs
+        row["pairs"] = PAIRS
         for m in metrics:
             name = m["name"]
             parent, change = row["parent"][name], row["change"][name]
