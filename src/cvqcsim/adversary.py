@@ -42,6 +42,7 @@ from __future__ import annotations
 from random import Random
 from typing import Callable, NamedTuple
 
+from . import gadget  # gadget.combine_step is looked up per call, so a wrapper set on the module sees it
 from .bits import Bits
 from .gadget import (
     COS2_TABLE,
@@ -109,11 +110,9 @@ class ServerSession:
         return out
 
     def respond_combine(self, base: int, other: int, table: LookupTable) -> Bits:
-        from .gadget import combine_step
-
         g_a = self.gadgets[base]
         g_b = self.gadgets.pop(other)
-        r, combined = combine_step(g_a, g_b, table, self.oracle, self.rng)
+        r, combined = gadget.combine_step(g_a, g_b, table, self.oracle, self.rng)
         self.gadgets[base] = combined
         return r
 

@@ -8,10 +8,10 @@ nonzero shift s and an injective map G, and let
     f(b, x) = G(x XOR b*s),        claws are exactly (x, x XOR s).
 
 G(u) = P(u || 0^kappa) with P a 4-round Feistel permutation on 2*kappa bits
-whose round functions are seeded PRFs, so G is injective and a random-looking
-2*kappa-bit image tells you nothing structural.  The trapdoor inverts P and
-strips b*s; a string outside G's image (random y: all but a 2^-kappa
-fraction) decodes to the invalid marker.
+whose round rnd applies a seeded PRF to (rnd << kappa) | half, so G is
+injective and a random-looking 2*kappa-bit image tells you nothing
+structural.  The trapdoor inverts P and strips b*s; a string outside G's
+image (random y: all but a 2^-kappa fraction) decodes to the invalid marker.
 
 This instantiation is functionally exact (2-to-1, trapdoor round-trip, the
 check predicate is the decode biconditional) but NOT computationally
@@ -56,29 +56,28 @@ class ClawResult(NamedTuple):
     x1: Bits
 
 
-def _round_fn(key: NtcfKey, rnd: int, half: int) -> int:
-    # independent PRF per round: tag the round index above the input half
-    inp = (rnd << key.kappa) | half
-    out = key.rounds.get(inp)
-    if out is None:
-        out = key.rounds[inp] = _stream_bits(key.prf, (inp, key.kappa + 8), key.kappa)
-    return out
-
-
 def _permute(key: NtcfKey, u: int) -> int:
     """P on 2*kappa-bit ints."""
-    kappa = key.kappa
+    kappa, prf, rounds = key.kappa, key.prf, key.rounds
     left, right = u >> kappa, u & ((1 << kappa) - 1)
     for rnd in range(_ROUNDS):
-        left, right = right, left ^ _round_fn(key, rnd, right)
+        inp = (rnd << kappa) | right
+        out = rounds.get(inp)
+        if out is None:
+            out = rounds[inp] = _stream_bits(prf, (inp, kappa + 8), kappa)
+        left, right = right, left ^ out
     return (left << kappa) | right
 
 
 def _unpermute(key: NtcfKey, y: int) -> int:
-    kappa = key.kappa
+    kappa, prf, rounds = key.kappa, key.prf, key.rounds
     left, right = y >> kappa, y & ((1 << kappa) - 1)
     for rnd in reversed(range(_ROUNDS)):
-        left, right = right ^ _round_fn(key, rnd, left), left
+        inp = (rnd << kappa) | left
+        out = rounds.get(inp)
+        if out is None:
+            out = rounds[inp] = _stream_bits(prf, (inp, kappa + 8), kappa)
+        left, right = right ^ out, left
     return (left << kappa) | right
 
 

@@ -12,10 +12,11 @@ rest of the stack relies on:
 Output length is capped at |input|^2 bits: a fixed polynomial cut-off that
 keeps the map total without giving callers unbounded stretch.
 
-Inputs are (value, width) pairs and outputs plain ints.  The memo key is
-one int, ``(value << 64) | (width << 32) | out_len``; width and out_len are
-checked to fit 32 bits, so distinct queries get distinct keys, and the memo
-holds nothing the cyclic garbage collector has to track.
+Inputs are (value, width) pairs and outputs plain ints.  The memo key is the
+flat tuple ``(value, width, out_len)``: cheaper per hit than a packed int, and
+its size is moot in a memo of one live table (below).  Queries are checked on
+a miss only, as a hit matches a key checked when stored; the 32-bit bound on
+width and out_len is set by the 4-byte width and counter fields of the stream.
 
 One oracle instance per protocol session; sessions are independent
 experiments, so nothing is shared across them.  The memo holds only the live
@@ -74,18 +75,16 @@ class RandomOracle:
         if len(seed) != 32:
             raise ValueError("oracle seed must be 32 bytes")
         self.keyed = prf_key(seed)
-        self.cache: dict[int, int] = {}
+        self.cache: dict[tuple[int, int, int], int] = {}  # (value, width, out_len) -> output
 
     def query(self, inp: tuple[int, int], out_len: int) -> int:
         value, width = inp
-        if (width | out_len) >> 32:  # also catches negatives
-            raise ValueError(f"width {width} or outLen {out_len} outside [0, 2^32)")
-        key = (value << 64) | (width << 32) | out_len
+        key = (value, width, out_len)
         hit = self.cache.get(key)
         if hit is None:
-            # a cached key passed this check when it was stored
-            if not 1 <= out_len <= width * width:
-                raise ValueError(f"outLen {out_len} outside [1, |input|^2] for |input|={width}")
+            # a cached key passed this check when it was stored; >> 32 also catches negatives
+            if (width | out_len) >> 32 or not 1 <= out_len <= width * width:
+                raise ValueError(f"need 1 <= outLen <= |input|^2, both < 2^32; got {out_len}, |input|={width}")
             hit = self.cache[key] = _stream_bits(self.keyed, inp, out_len)
         return hit
 

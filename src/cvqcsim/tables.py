@@ -71,13 +71,14 @@ def encrypt(
         raise ValueError(f"unknown group {group!r}")
     kv, kw = key
     width = kappa + kw
+    query = oracle.query
     pad_r = rng.getrandbits(kappa)
     pad_rp = rng.getrandbits(kappa)
     if group == Z8:
-        masked = (oracle.query(((pad_r << kw) | kv, width), 3) + p) % 8
+        masked = (query(((pad_r << kw) | kv, width), 3) + p) % 8
     else:
-        masked = oracle.query(((pad_r << kw) | kv, width), kappa) ^ p
-    return Ciphertext(pad_r, masked, pad_rp, oracle.query(((pad_rp << kw) | kv, width), kappa))
+        masked = query(((pad_r << kw) | kv, width), kappa) ^ p
+    return Ciphertext(pad_r, masked, pad_rp, query(((pad_rp << kw) | kv, width), kappa))
 
 
 def decrypt_row(table: LookupTable, key: tuple[int, int], oracle: RandomOracle) -> tuple[int, int] | None:
@@ -89,19 +90,19 @@ def decrypt_row(table: LookupTable, key: tuple[int, int], oracle: RandomOracle) 
     silently resolved by row order.
     """
     kv, kw = key
-    kappa = table.kappa
+    rows, group, kappa = table
     width = kappa + kw
     query = oracle.query
     found = None
-    for idx, row in enumerate(table.rows):
-        if query(((row.pad_rp << kw) | kv, width), kappa) == row.tag:
+    for idx, (pad_r, masked, pad_rp, tag) in enumerate(rows):
+        if query(((pad_rp << kw) | kv, width), kappa) == tag:
             if found is not None:
                 raise TagCollision(f"key opens rows {found[0]} and {idx}")
-            inp = ((row.pad_r << kw) | kv, width)
-            if table.group == Z8:
-                found = (idx, (row.masked - query(inp, 3)) % 8)
+            inp = ((pad_r << kw) | kv, width)
+            if group == Z8:
+                found = (idx, (masked - query(inp, 3)) % 8)
             else:
-                found = (idx, row.masked ^ query(inp, kappa))
+                found = (idx, masked ^ query(inp, kappa))
     return found
 
 
@@ -109,9 +110,10 @@ def _cross_clean(rows: list[Ciphertext], keys: list[int], kw: int, oracle: Rando
     """True iff no intended key (kw bits wide) falsely opens another key's row."""
     query = oracle.query
     width = kappa + kw
+    tags = [(pad_rp << kw, tag) for _, _, pad_rp, tag in rows]
     for i, kv in enumerate(keys):
-        for j, row in enumerate(rows):
-            if i != j and query(((row.pad_rp << kw) | kv, width), kappa) == row.tag:
+        for j, (head, tag) in enumerate(tags):
+            if i != j and query((head | kv, width), kappa) == tag:
                 return False
     return True
 

@@ -36,6 +36,12 @@ def test_tracer_installs_and_traces_one_session_per_round_type():
     assert len(tracer.sessions) == 6
     assert [rt for _, rt, _ in tracer.sessions] == list(ROUND_TYPES)
     assert all(out.flag for out in outs.values())
+    # the hot path goes through the traced names, looked up at call time
+    spans = tracer.span_counts()
+    assert spans["gadget.combine_step"] == spans["tables.build_combine"] > 0
+    assert spans["oracle.query"] > 0 and spans["tables.decrypt_row"] > 0
+    for counter in ("oracle.prf_misses", "ntcf.prf_calls", "tables.encrypt_calls"):
+        assert tracer.counts[counter] > 0, counter
 
     o = outs["comp"].outputs
     assert o.decoded is not None

@@ -48,11 +48,14 @@ class TestQuery:
             assert RandomOracle(SEED_A).query(x, n) == ref >> (8 * len(raw) - n)
 
     def test_memo_key_separates_width_and_length(self):
-        # the memo key packs (value, width, out_len) into one int
+        # the memo key is the flat tuple (value, width, out_len)
         o = RandomOracle(SEED_A)
         triples = ((1, 8, 16), (1, 16, 8), (1, 9, 16))
         for value, width, out_len in triples:
             assert o.query((value, width), out_len) == _stream_bits(o.keyed, (value, width), out_len)
+        assert len(o.cache) == len(triples)
+        # a Bits and its (value, width) pair share one entry
+        assert o.query(Bits(1, 8), 16) == o.query((1, 8), 16)
         assert len(o.cache) == len(triples)
         for width, out_len in ((1 << 32, 8), (8, 1 << 32), (1 << 40, 1 << 33)):
             with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Per-session work counts of the benchmark workloads over a fixed session set.
 
     python tools/trace_counts.py [checkout]
+    python tools/trace_counts.py <parent-checkout> <change-checkout>
 
 Imports ``perfbench/workloads.py`` and ``perfbench/tracer.py`` from
 `checkout` (default: this repository), changing neither, and runs a fixed
@@ -12,12 +13,18 @@ count for count.  Exits 1 when any workload has a failed session or an
 incorrect outcome, so a count comparison can gate on it.
 ``perfbench/run.py --trace 1`` replays a time-dependent number of rounds, so
 its counts do not compare this way.
+
+Given two checkouts, runs the one-checkout form on each in a process of its
+own and prints one JSON object holding only what differs, per workload and
+field, as ``[parent, change]`` (``{}`` when every count matches).  Exits 1
+when anything differs or either side fails as above.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 
 SEED = 424242
@@ -25,9 +32,42 @@ ROUNDS = {"honest-L8": 20, "fold-L512": 4, "recorded-mix-L8": 200}
 TIME_SUFFIXES = ("_ms", "_us_per_gadget")
 
 
+def _fields(workload: dict) -> dict:
+    """A workload's report as one flat dict: its session counts and metrics."""
+    return {**{k: v for k, v in workload.items() if k != "metrics"}, **workload.get("metrics", {})}
+
+
+def differences(parent: dict, change: dict) -> dict:
+    """{workload: {field: [parent value, change value]}} over every field
+    that differs; a field missing on one side reads None there."""
+    out = {}
+    for name in sorted(parent.keys() | change.keys()):
+        a, b = _fields(parent.get(name, {})), _fields(change.get(name, {}))
+        diff = {k: [a.get(k), b.get(k)] for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)}
+        if diff:
+            out[name] = diff
+    return out
+
+
+def _report(checkout: str) -> tuple[dict, int]:
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), checkout], stdout=subprocess.PIPE, text=True)
+    if proc.returncode not in (0, 1):
+        raise SystemExit(f"error: trace counts of {checkout} exited with code {proc.returncode}")
+    return json.loads(proc.stdout), proc.returncode
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 2:
+        (parent, parent_rc), (change, change_rc) = map(_report, argv)
+        diff = differences(parent, change)
+        print(json.dumps(diff, indent=1))
+        return int(bool(diff) or parent_rc or change_rc)
     if len(argv) > 1:
-        print("usage: python tools/trace_counts.py [checkout]", file=sys.stderr)
+        print(
+            "usage: python tools/trace_counts.py [checkout]\n"
+            "       python tools/trace_counts.py <parent-checkout> <change-checkout>",
+            file=sys.stderr,
+        )
         return 2
     checkout = os.path.abspath(argv[0] if argv else os.path.join(os.path.dirname(__file__), os.pardir))
     sys.path.insert(0, os.path.join(checkout, "perfbench"))
