@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _spec = importlib.util.spec_from_file_location(
     "trace_counts", Path(__file__).resolve().parents[1] / "tools" / "trace_counts.py"
 )
@@ -42,3 +44,8 @@ def test_a_field_or_workload_missing_on_one_side_differs():
 def test_three_checkouts_are_a_usage_error(capsys):
     assert trace_counts.main(["a", "b", "c"]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_a_checkout_that_yields_no_report_is_an_error(tmp_path):
+    with pytest.raises(SystemExit, match="exited with code 1"):
+        trace_counts.main([str(tmp_path / "missing"), str(tmp_path / "missing")])

@@ -51,7 +51,7 @@ def differences(parent: dict, change: dict) -> dict:
 
 def _report(checkout: str) -> tuple[dict, int]:
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), checkout], stdout=subprocess.PIPE, text=True)
-    if proc.returncode not in (0, 1):
+    if proc.returncode not in (0, 1) or not proc.stdout.strip():  # a crash exits 1 with no report
         raise SystemExit(f"error: trace counts of {checkout} exited with code {proc.returncode}")
     return json.loads(proc.stdout), proc.returncode
 
