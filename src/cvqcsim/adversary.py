@@ -54,6 +54,7 @@ from .gadget import (
     dephase,
     hadamard_sample,
     make_gadget,
+    materialize,
     merge_keys,
     rotate_branches,
     std_sample,
@@ -65,8 +66,6 @@ from .tables import LookupTable, decrypt_row
 HELPER = -1  # gadget index of the helper block; output gadgets are 1..L, test gadget is 0
 
 OPT = COS2_TABLE[1] / 3  # (1/3) cos^2(pi/8): the optimal quiz win rate
-
-_NO_KEYS = KeyPair(Bits(0, 0), Bits(0, 0))  # the empty register a GHZ merge starts from
 
 
 class ServerSession:
@@ -102,29 +101,28 @@ class ServerSession:
         return revealed
 
     # -- measurements ---------------------------------------------------------
+    def _take(self, idx: int) -> Gadget:
+        """Consume gadget `idx`, its full key pair built (``materialize``)."""
+        return materialize(self.gadgets.pop(idx))
+
     def respond_std(self, indices: list[int]) -> list[Bits]:
-        out = []
-        for idx in indices:
-            g = self.gadgets.pop(idx)
-            out.append(std_sample(g, self.rng)[1])
-        return out
+        return [std_sample(self._take(idx), self.rng)[1] for idx in indices]
 
     def respond_combine(self, base: int, other: int, table: LookupTable) -> Bits:
         g_a = self.gadgets[base]
-        g_b = self.gadgets.pop(other)
+        g_b = self._take(other)
         r, combined = gadget.combine_step(g_a, g_b, table, self.oracle, self.rng)
         self.gadgets[base] = combined
         return r
 
     def respond_hadamard(self, idx: int, pad: Bits) -> Bits:
-        g = self.gadgets.pop(idx)
-        return hadamard_sample(g, pad, self.oracle, self.rng)
+        return hadamard_sample(self._take(idx), pad, self.oracle, self.rng)
 
     # -- output -----------------------------------------------------------
     def decode_outputs(
         self, indices: list[int], revealed: list[KeyPair]
     ) -> tuple[PlusStateVector, int] | None:
-        gs = [self.gadgets.pop(i) for i in indices]
+        gs = [self._take(i) for i in indices]
         return decode_output(gs, revealed)
 
 
@@ -141,7 +139,7 @@ class ConjugateSession(ServerSession):
         # the held state decodes to |+_{-theta}>; X (branch-phase swap) fixes it
         for i in indices:
             g = self.gadgets[i]
-            self.gadgets[i] = Gadget(g.keys, g.t1, g.t0)
+            self.gadgets[i] = Gadget(g.keys, g.t1, g.t0, g.parts)
         return super().decode_outputs(indices, revealed)
 
 
@@ -166,7 +164,7 @@ class RandomResponseSession(ServerSession):
     def respond_std(self, indices):
         out = []
         for idx in indices:
-            g = self.gadgets.pop(idx)
+            g = self._take(idx)
             out.append(Bits(self.rng.getrandbits(g.keys.x0.width), g.keys.x0.width))
         return out
 
@@ -175,7 +173,7 @@ class RandomResponseSession(ServerSession):
         return Bits(self.rng.getrandbits(self.kappa), self.kappa)
 
     def respond_hadamard(self, idx, pad):
-        g = self.gadgets.pop(idx)
+        g = self._take(idx)
         width = g.keys.x0.width + self.kappa
         return Bits(self.rng.getrandbits(width), width)
 
@@ -220,14 +218,13 @@ class GhzSession(ServerSession):
             g = self.gadgets.pop(i)
             self.outputs[i] = g.keys
             t0, t1 = t0 + g.t0, t1 + g.t1
-        self.joint = Gadget(_NO_KEYS, t0 % 8, t1 % 8)
+        self.joint = Gadget(None, t0 % 8, t1 % 8)
 
     def _register(self, order: list[int]) -> Gadget:
         """The joint register over the outputs in `order`, its branches
         aligned: each branch key concatenates the outputs' same-subscript keys."""
-        keys = _NO_KEYS
-        for j in order:
-            keys = merge_keys(keys, self.outputs[j], 0)
+        first, *rest = order
+        keys = merge_keys(self.outputs[first], [(self.outputs[j], 0) for j in rest])
         return self.joint._replace(keys=keys)
 
     def dephase_reveal(self, idx, revealed):
@@ -250,7 +247,7 @@ class GhzSession(ServerSession):
                 order = self.folded if self.folded and idx == self.folded[0] else [idx]
                 out.append(self._register(order).keys[self._collapse()])
             else:
-                out.append(std_sample(self.gadgets.pop(idx), self.rng)[1])
+                out.append(std_sample(self._take(idx), self.rng)[1])
         return out
 
     def respond_combine(self, base, other, table):

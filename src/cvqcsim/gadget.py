@@ -5,8 +5,13 @@ e^{i t1 pi/4}|x1>): two branch keys and two phases t0, t1 in Z8.  Honest
 execution and every built-in attack stay inside this family exactly, because
 every operation multiplies a branch by an 8th root of unity, which adds to
 its phase mod 8.  So there is no general statevector and no float amplitude
-here, just (keys, t0, t1), and thousand-gadget sessions stay linear-time
-with nothing to renormalise.
+here, just (keys, t0, t1), and nothing to renormalise.
+
+Folds stay linear-time at any L.  A folded register keeps its base key pair
+(whose first kappa bits key every combine table) and the chain of key pairs
+merged into it, each with its reply's orientation; ``materialize`` builds
+the full key pair once, in one pass (``merge_keys``), when a measurement or
+the decode needs it.
 
 Measurement sampling is exact, not approximate:
 
@@ -71,9 +76,10 @@ class KeyPair(NamedTuple):
 
 
 class Gadget(NamedTuple):
-    keys: KeyPair
+    keys: KeyPair  # a folded register's base pair until ``materialize``
     t0: int  # branch phases in units of pi/4, in 0..7
     t1: int
+    parts: tuple | None = None  # folded-in (earlier parts, key pair, crossed), newest first
 
 
 class PlusStateVector(NamedTuple):
@@ -101,13 +107,13 @@ def decrypt_branch_phases(
 
 def rotate_branches(g: Gadget, theta0: int, theta1: int) -> Gadget:
     """Diagonal phase op: branch b picks up e^{i theta_b pi/4}."""
-    return Gadget(g.keys, (g.t0 + theta0) % 8, (g.t1 + theta1) % 8)
+    return Gadget(g.keys, (g.t0 + theta0) % 8, (g.t1 + theta1) % 8, g.parts)
 
 
 def dephase(g: Gadget, revealed: int) -> Gadget:
     """Rotate branch 1 by e^{-i revealed pi/4} (the server's reaction to a
     revealed relative phase; residual relative phase = old - revealed)."""
-    return Gadget(g.keys, g.t0, (g.t1 - revealed) % 8)
+    return Gadget(g.keys, g.t0, (g.t1 - revealed) % 8, g.parts)
 
 
 def std_sample(g: Gadget, rng: Random) -> tuple[int, Bits]:
@@ -179,10 +185,33 @@ def hadamard_sample(g: Gadget, pad: Bits, oracle: RandomOracle, rng: Random) -> 
     return d
 
 
-def merge_keys(ka: KeyPair, kb: KeyPair, crossed: int) -> KeyPair:
-    """The combine rule: the merged register's key pair pairs equal branch
-    subscripts (x0a x0b, x1a x1b), or crossed ones (x0a x1b, x1a x0b)."""
-    return KeyPair(ka.x0.concat(kb[crossed]), ka.x1.concat(kb[1 - crossed]))
+def _join(xs: list[Bits]) -> Bits:
+    """The left fold of ``Bits.concat`` over `xs`, in one linear pass over
+    their fixed-width binary digits (``bin(v | 1 << w)[3:]`` is v's w digits)."""
+    digits = "".join([bin(x.value | 1 << x.width)[3:] for x in xs])
+    return Bits(int(digits, 2) if digits else 0, len(digits))
+
+
+def merge_keys(base: KeyPair, parts: list[tuple[KeyPair, int]]) -> KeyPair:
+    """The combine rule, applied to each (kb, crossed) of `parts` in order:
+    the merged register's key pair pairs equal branch subscripts
+    (x0 || kb.x0, x1 || kb.x1), or crossed ones (x0 || kb.x1, x1 || kb.x0).
+    Builds the whole register in one pass, not one concat per part."""
+    x0s, x1s = [base.x0], [base.x1]
+    for kb, crossed in parts:
+        x0s.append(kb[crossed])
+        x1s.append(kb[1 - crossed])
+    return KeyPair(_join(x0s), _join(x1s))
+
+
+def materialize(g: Gadget) -> Gadget:
+    """`g` with its full key pair: a folded register's parts merged into its
+    base pair (``merge_keys``); an unfolded gadget as it is."""
+    parts, node = [], g.parts
+    while node is not None:
+        node, kb, crossed = node
+        parts.append((kb, crossed))
+    return Gadget(merge_keys(g.keys, parts[::-1]), g.t0, g.t1) if parts else g
 
 
 def combine_step(
@@ -195,28 +224,30 @@ def combine_step(
     x1b), outcome r1 the crossed pairs (``merge_keys``), each with probability
     1/2; the phases of the paired branches add.
     Table rows are keyed by the *first kappa bits* of the a-side branch (the
-    client builds them from the base gadget's keys).
+    client builds them from the base gadget's keys), which are read off
+    g_a's base pair.  The merged gadget keeps that base pair and chains
+    g_b's keys onto its parts; its full key pair is built only by
+    ``materialize``, when the register is measured or decoded.
     """
     kappa = table.kappa
-    r = {}
-    for a in (0, 1):
-        x_a = g_a.keys[a]
+    rows = []
+    for x_a in g_a.keys:
         head = x_a.value >> (x_a.width - kappa)  # first kappa bits
-        for b in (0, 1):
-            x_b = g_b.keys[b]
+        for x_b in g_b.keys:
             hit = decrypt_row(table, ((head << x_b.width) | x_b.value, kappa + x_b.width), oracle)
             if hit is None:
                 raise TableMismatch("combine table has no row for a branch pair")
-            r[a, b] = hit[1]
-    if r[0, 0] != r[1, 1] or r[0, 1] != r[1, 0] or r[0, 0] == r[0, 1]:
+            rows.append(hit[1])
+    r00, r01, r10, r11 = rows
+    if r00 != r11 or r01 != r10 or r00 == r01:
         raise TableMismatch("table decryptions do not form a combine pattern")
 
     crossed = int(rng.random() >= 0.5)
     tb = (g_b.t0, g_b.t1)
     combined = Gadget(
-        merge_keys(g_a.keys, g_b.keys, crossed), (g_a.t0 + tb[crossed]) % 8, (g_a.t1 + tb[1 - crossed]) % 8
+        g_a.keys, (g_a.t0 + tb[crossed]) % 8, (g_a.t1 + tb[1 - crossed]) % 8, (g_a.parts, g_b.keys, crossed)
     )
-    return Bits(r[0, crossed], kappa), combined
+    return Bits(r01 if crossed else r00, kappa), combined
 
 
 def decode_output(gadgets: list[Gadget], revealed_keys: list[KeyPair]) -> tuple[PlusStateVector, int]:

@@ -30,6 +30,8 @@ BUCKETS = ("test", "quiz", "comp")
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
+_CHUNK = 256  # sessions per pool job
+
 
 def bucket_of(round_type: str) -> str:
     if round_type == "comp":
@@ -120,17 +122,19 @@ def estimate_rates(
 ) -> ExperimentReport:
     """Monte-Carlo rate estimation over independent sessions.
 
-    With workers > 1, sessions fan out over a process pool; the strategy is
-    shipped as its spec dict and rebuilt per worker, and since every session
-    seed comes from the master seed by counter, the aggregate is identical
-    to the serial run.  Raises ValueError on L < 1, kappa < 4, or sessions
-    or workers < 1.
+    With workers > 1, sessions fan out in chunks of 256 over a process
+    pool of at most one worker per chunk, and a single chunk runs in this
+    process; the strategy is shipped as its spec dict and rebuilt per
+    worker, and since every session seed comes from the master seed by
+    counter, the aggregate is identical to the serial run.  Raises
+    ValueError on L < 1, kappa < 4, or sessions or workers < 1.
     """
     check_size(L, kappa)
     if min(sessions, workers) < 1:
         raise ValueError(f"sessions and workers must be >= 1, got {sessions} and {workers}")
     master = master_seed_from(rng)
     t0 = time.perf_counter()
+    workers = min(workers, -(-sessions // _CHUNK))
     if workers > 1:
         from multiprocessing import Pool
 
@@ -139,7 +143,7 @@ def estimate_rates(
             for i in range(sessions)
         )
         with Pool(workers) as pool:
-            results = pool.map(_run_one, jobs, chunksize=256)
+            results = pool.map(_run_one, jobs, chunksize=_CHUNK)
     else:
         results = [
             _run_one((strategy.spec, derive_seed(master, "session", i), kappa, L, force_plan))

@@ -258,12 +258,14 @@ def _fold(s: ClientSession, base: int, others: list[int]) -> tuple[KeyPair, int]
     register) crossed with the incoming gadget's keys; the server's reply says
     which pairing survived (r1: crossed subscripts), and the phases pair up
     like the keys, so a crossed merge subtracts the incoming relative phase.
+    The merged key pair is built once, after the last reply (``merge_keys``).
     Returns None as soon as a reply is off-table."""
     server, tr, oracle, rng, kappa, keys, thetas = (
         s.server, s.tr, s.oracle, s.rng, s.kappa, s.keys, s.thetas
     )
-    kb = kk = keys[base]
+    kb = keys[base]
     tt = thetas[base]
+    parts = []
     for i in others:
         r0 = (rng.getrandbits(kappa), kappa)
         r1 = (rng.getrandbits(kappa), kappa)
@@ -280,9 +282,9 @@ def _fold(s: ClientSession, base: int, others: list[int]) -> tuple[KeyPair, int]
         if r != r0 and r != r1:
             return None
         crossed = int(r == r1)
-        kk = merge_keys(kk, ki, crossed)
+        parts.append((ki, crossed))
         tt = (tt - ti if crossed else tt + ti) % 8
-    return kk, tt
+    return merge_keys(kb, parts), tt
 
 
 def _coin_check(s: ClientSession, base: int, kk: KeyPair, tt: int, force_coin: str | None) -> bool:

@@ -21,6 +21,7 @@ from cvqcsim.gadget import (
     fidelity_ideal,
     hadamard_sample,
     make_gadget,
+    materialize,
     merge_keys,
     parity_probs,
     sampler_distribution,
@@ -71,7 +72,7 @@ class TestMakeGadget:
 
     def test_no_phases_means_flat(self):
         k = _pair(random.Random(3), 8)
-        assert make_gadget(k) == make_gadget(k, (0, 0)) == (k, 0, 0)
+        assert make_gadget(k) == make_gadget(k, (0, 0)) == (k, 0, 0, None)
 
     def test_equal_keys_rejected(self):
         x = Bits(5, 8)
@@ -246,10 +247,28 @@ class TestCombine:
 
     def test_merge_keys_pairs_equal_or_crossed_subscripts(self):
         ka, kb = KeyPair(Bits(0b10, 2), Bits(0b01, 2)), KeyPair(Bits(0b110, 3), Bits(0b011, 3))
-        assert merge_keys(ka, kb, 0) == KeyPair(ka.x0.concat(kb.x0), ka.x1.concat(kb.x1))
-        assert merge_keys(ka, kb, 1) == KeyPair(ka.x0.concat(kb.x1), ka.x1.concat(kb.x0))
-        assert merge_keys(ka, kb, 0) == KeyPair(Bits(0b10110, 5), Bits(0b01011, 5))
-        assert merge_keys(ka, kb, 1) == KeyPair(Bits(0b10011, 5), Bits(0b01110, 5))
+        assert merge_keys(ka, [(kb, 0)]) == KeyPair(ka.x0.concat(kb.x0), ka.x1.concat(kb.x1))
+        assert merge_keys(ka, [(kb, 1)]) == KeyPair(ka.x0.concat(kb.x1), ka.x1.concat(kb.x0))
+        assert merge_keys(ka, [(kb, 0)]) == KeyPair(Bits(0b10110, 5), Bits(0b01011, 5))
+        assert merge_keys(ka, [(kb, 1)]) == KeyPair(Bits(0b10011, 5), Bits(0b01110, 5))
+
+    def test_merge_keys_equals_a_left_fold_of_concat(self):
+        rng = random.Random(20)
+
+        def pair(width):
+            return KeyPair(Bits(rng.getrandbits(width), width), Bits(rng.getrandbits(width), width))
+
+        empty = KeyPair(Bits(0, 0), Bits(0, 0))
+        assert merge_keys(empty, []) == empty  # the empty register
+        assert merge_keys(empty, [(empty, 1)]) == empty
+        for n in (0, 1, 2, 7, 40):  # n = 0 is the base alone, n = 1 a single part
+            for _ in range(20):
+                base = pair(rng.randrange(0, 20))
+                parts = [(pair(rng.choice((0, 1, rng.randrange(70)))), rng.randrange(2)) for _ in range(n)]
+                x0, x1 = base
+                for kb, crossed in parts:
+                    x0, x1 = x0.concat(kb[crossed]), x1.concat(kb[1 - crossed])
+                assert merge_keys(base, parts) == KeyPair(x0, x1)
 
     def test_equal_outcome_phases_add(self):
         o, rng, ka, kb, r0, r1, tbl, ga, gb = self._two(21, (1, 2), (3, 4))
@@ -257,7 +276,7 @@ class TestCombine:
             r, comb = combine_step(ga, gb, tbl, o, rng)
             if r == r0:
                 break
-        assert comb.keys == KeyPair(ka.x0.concat(kb.x0), ka.x1.concat(kb.x1))
+        assert materialize(comb).keys == KeyPair(ka.x0.concat(kb.x0), ka.x1.concat(kb.x1))
         # equal subscripts pair up: (1+3, 2+4), relative phase 2
         assert (comb.t0, comb.t1) == (4, 6)
 
@@ -267,7 +286,7 @@ class TestCombine:
             r, comb = combine_step(ga, gb, tbl, o, rng)
             if r == r1:
                 break
-        assert comb.keys == KeyPair(ka.x0.concat(kb.x1), ka.x1.concat(kb.x0))
+        assert materialize(comb).keys == KeyPair(ka.x0.concat(kb.x1), ka.x1.concat(kb.x0))
         # crossed subscripts pair up: (1+4, 2+3), relative phase 0
         assert (comb.t0, comb.t1) == (5, 5)
 
@@ -295,7 +314,7 @@ class TestCombine:
                 rel = ((7 + 5) - (1 + 2)) % 8
             else:  # crossed pairing: theta = (7+2) - (1+5)
                 rel = ((7 + 2) - (1 + 5)) % 8
-            flat = dephase(comb, rel)
+            flat = materialize(dephase(comb, rel))
             pad = Bits(rng.getrandbits(10), 10)
             w0, w1 = branch_words(flat.keys, pad, o, 10)
             d = hadamard_sample(flat, pad, o, rng)

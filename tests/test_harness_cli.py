@@ -112,6 +112,35 @@ def test_parallel_run_matches_serial():
     assert serial.pass_count != honest.pass_count
 
 
+@pytest.mark.parametrize(
+    "workers, sessions, pooled", [(64, 100, None), (64, 256, None), (64, 257, 2), (2, 600, 2), (3, 600, 3)]
+)
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch, workers, sessions, pooled):
+    # 256 sessions per chunk: a single chunk runs in this process, more
+    # start at most one worker per chunk, and the report does not change
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:  # records its size and maps in this process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    report = estimate_rates(1, 6, sessions, HONEST, b"chunks", workers=workers)
+    assert sizes == ([] if pooled is None else [pooled])
+    assert report.to_json() == estimate_rates(1, 6, sessions, HONEST, b"chunks").to_json()
+
+
 def test_force_plan_is_echoed_and_applied():
     r = estimate_rates(1, 8, 120, HONEST, b"forced", force_plan="comp")
     assert r.force_plan == "comp"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import cvqcsim.adversary as adv
 from cvqcsim.adversary import HELPER
-from cvqcsim.gadget import COS2_TABLE
+from cvqcsim.gadget import COS2_TABLE, materialize
 from cvqcsim.protocol import (
     NULL_TRANSCRIPT,
     ROUND_TYPES,
@@ -269,7 +269,7 @@ def test_fold_tracks_server_key_pair_and_phase():
         folded = _fold(s, 0, [1, 2, 3])
         assert folded is not None
         kk, tt = folded
-        g = s.server.gadgets[0]
+        g = materialize(s.server.gadgets[0])
         assert g.keys == kk  # branch order included
         assert (g.t1 - g.t0) % 8 == tt
         all_equal = s.keys[0].x0

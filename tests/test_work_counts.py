@@ -2,8 +2,9 @@
 
 Counters are installed by monkeypatching the names the code looks up at
 call time (``protocol.dec``, ``protocol.table_payload``, ``Bits.token``, the
-module-global ``_stream_bits`` in ``ntcf`` and ``oracle``, ``ntcf.prf_key``),
-so these tests pin how much work a session does without timing anything.
+module-global ``_stream_bits`` in ``ntcf`` and ``oracle``, ``ntcf.prf_key``,
+``Bits.__new__``), so these tests pin how much work a session does without
+timing anything.
 """
 
 import gc
@@ -27,14 +28,16 @@ HONEST = adv.parse_strategy("honest")
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counter of calls to each patched name; returns (counter, patch)."""
+    """Counter of calls to each patched name; returns (counter, patch).
+    ``patch(owner, attr, label, weight)`` adds weight(*args) per call
+    instead of 1."""
     tally: Counter = Counter()
 
-    def patch(owner, attr, label):
+    def patch(owner, attr, label, weight=None):
         fn = getattr(owner, attr)
 
         def counted(*args, **kwargs):
-            tally[label] += 1
+            tally[label] += weight(*args) if weight else 1
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, counted)
@@ -70,8 +73,8 @@ def test_no_payload_or_token_work_unless_recording(counts):
 
 def test_prf_calls_per_gadget_are_linear_in_L(counts):
     # the work ACCEPT-09 times (honest comp rounds), counted instead of
-    # timed, and the folds of coph and BN rounds, whose merged keys grow
-    # with L
+    # timed, and the folds of coph and BN rounds, whose combine tables
+    # cover every folded gadget
     tally, patch = counts
     patch(ntcf, "_stream_bits", "ntcf")
     patch(oracle, "_stream_bits", "oracle")
@@ -96,6 +99,22 @@ def test_prf_calls_per_gadget_are_linear_in_L(counts):
             assert abs(ratio - 1) <= 0.05, (plan, k, per_gadget)
         total = {L: sum(c.values()) for L, c in per_gadget.items()}
         assert abs(total[large] / total[small] - 1) <= 0.05, (plan, total)
+
+
+def test_bits_built_per_gadget_are_linear_in_L(counts):
+    # a fold builds its merged key pair once, when the coin measures it, so
+    # the bits of every Bits a session constructs grow with L, not L^2
+    tally, patch = counts
+    patch(Bits, "__new__", "bits", weight=lambda cls, value, width: width)
+    for plan in ("prep:coph", "prep:bn"):
+        per_gadget = {}
+        for L, sessions in ((128, 4), (4096, 1)):
+            tally.clear()
+            for i in range(sessions):
+                out = run_pre_rspv(HONEST, f"bits-{plan}-{L}-{i}", kappa=16, L=L, force_plan=plan, force_coin="had")
+                assert out.round_type == plan
+            per_gadget[L] = tally["bits"] / (L * sessions)
+        assert per_gadget[4096] <= 1.05 * per_gadget[128], (plan, per_gadget)
 
 
 # (oracle._stream_bits, ntcf._stream_bits) calls per session at kappa=16,
