@@ -79,7 +79,7 @@ class ServerSession:
 
     # -- setup ------------------------------------------------------------
     def setup_block(self, idx: int, claw: ClawResult) -> Bits:
-        self.gadgets[idx] = make_gadget(KeyPair(claw.x0, claw.x1))
+        self.gadgets[idx] = make_gadget(tuple.__new__(KeyPair, (claw.x0, claw.x1)))
         return claw.y
 
     # -- phase injection ----------------------------------------------------
@@ -139,7 +139,7 @@ class ConjugateSession(ServerSession):
         # the held state decodes to |+_{-theta}>; X (branch-phase swap) fixes it
         for i in indices:
             g = self.gadgets[i]
-            self.gadgets[i] = Gadget(g.keys, g.t1, g.t0, g.parts)
+            self.gadgets[i] = tuple.__new__(Gadget, (g.keys, g.t1, g.t0, g.parts))
         return super().decode_outputs(indices, revealed)
 
 
@@ -164,13 +164,13 @@ class RandomResponseSession(ServerSession):
     def respond_std(self, indices):
         out = []
         for idx in indices:
-            g = self._take(idx)
-            out.append(Bits(self.rng.getrandbits(g.keys.x0.width), g.keys.x0.width))
+            width = self._take(idx).keys.x0.width
+            out.append(tuple.__new__(Bits, (self.rng.getrandbits(width), width)))
         return out
 
     def respond_combine(self, base, other, table):
         super().respond_combine(base, other, table)
-        return Bits(self.rng.getrandbits(self.kappa), self.kappa)
+        return tuple.__new__(Bits, (self.rng.getrandbits(self.kappa), self.kappa))
 
     def respond_hadamard(self, idx, pad):
         g = self._take(idx)
@@ -258,7 +258,7 @@ class GhzSession(ServerSession):
         key = self.outputs[self.folded[0]].x0.concat(self.outputs[other].x0)
         hit = decrypt_row(table, key, self.oracle)
         self.folded.append(other)
-        return Bits(hit[1] if hit else 0, self.kappa)
+        return tuple.__new__(Bits, (hit[1] if hit else 0, self.kappa))
 
     def respond_hadamard(self, idx, pad):
         if idx not in self.outputs:

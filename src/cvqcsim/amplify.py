@@ -33,6 +33,7 @@ from random import Random
 from typing import NamedTuple
 
 from .adversary import OPT, Strategy
+from .oracle import randbelow, randbytes
 from .protocol import P_QUIZ, CompOutputs, run_pre_rspv
 
 
@@ -89,7 +90,7 @@ def run_pre_rspv_temp(
     comp_outputs: dict[int, CompOutputs | None] = {}
     wins = 0
     for i in range(cfg.n_temp):
-        out = run_pre_rspv(strategy, rng.randbytes(32), kappa=kappa, L=L)
+        out = run_pre_rspv(strategy, randbytes(rng, 32), kappa=kappa, L=L)
         if out.round_type == "comp":
             comp_outputs[i] = out.outputs
         if out.score:
@@ -98,7 +99,7 @@ def run_pre_rspv_temp(
             return PreRspvTempResult(False, None, wins, i + 1, None)
     if wins <= win_threshold(cfg):
         return PreRspvTempResult(False, None, wins, cfg.n_temp, None)
-    picked = rng.randrange(cfg.n_temp)
+    picked = randbelow(rng, cfg.n_temp)
     return PreRspvTempResult(True, comp_outputs.get(picked), wins, cfg.n_temp, picked)
 
 

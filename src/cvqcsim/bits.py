@@ -36,11 +36,11 @@ class Bits(NamedTuple):
         return token_field(self.width) % self.value
 
     def concat(self, other: Bits) -> Bits:
-        return Bits((self.value << other.width) | other.value, self.width + other.width)
+        return tuple.__new__(Bits, ((self.value << other.width) | other.value, self.width + other.width))
 
     def xor(self, other: Bits) -> Bits:
         assert self.width == other.width, "xor of unequal widths"
-        return Bits(self.value ^ other.value, self.width)
+        return tuple.__new__(Bits, (self.value ^ other.value, self.width))
 
     def parity_with(self, other: Bits) -> int:
         """Inner product mod 2, <self, other>."""
@@ -49,7 +49,7 @@ class Bits(NamedTuple):
 
     def suffix(self, n: int) -> Bits:
         assert 0 <= n <= self.width
-        return Bits(self.value & ((1 << n) - 1), n)
+        return tuple.__new__(Bits, (self.value & ((1 << n) - 1), n))
 
     @property
     def is_zero(self) -> bool:

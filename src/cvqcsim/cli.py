@@ -35,7 +35,7 @@ from .gadget import (
 )
 from .harness import estimate_rates, master_seed_from, scaling_bench
 from .ntcf import chk, keygen
-from .oracle import RandomOracle
+from .oracle import RandomOracle, randbytes
 from .protocol import ROUND_TYPES, check_size, run_pre_rspv
 
 
@@ -200,7 +200,7 @@ def _check_sampler() -> bool:
     rng = Random(7)
     for kappa in (1, 2, 3):
         for width in (1, 2, 3):
-            oracle = RandomOracle(rng.randbytes(32))
+            oracle = RandomOracle(randbytes(rng, 32))
             x0 = Bits(rng.getrandbits(width), width)
             while True:
                 x1 = Bits(rng.getrandbits(width), width)
@@ -293,7 +293,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if getattr(args, "seed", b"") is None:  # no --seed (nor config seed): a fresh one
-        args.seed = Random().randbytes(32)
+        args.seed = randbytes(Random(), 32)
         if args.cmd == "run":  # its stdout is the transcript, which holds no seed
             print(f"seed: {args.seed.hex()}", file=sys.stderr)
     return handler(args)

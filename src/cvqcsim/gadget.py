@@ -88,7 +88,7 @@ class PlusStateVector(NamedTuple):
 
 def make_gadget(keys: KeyPair, phases: tuple[int, int] = (0, 0)) -> Gadget:
     assert keys[0] != keys[1], "branch keys must be distinct"
-    return Gadget(keys, phases[0] % 8, phases[1] % 8)
+    return tuple.__new__(Gadget, (keys, phases[0] % 8, phases[1] % 8, None))
 
 
 def decrypt_branch_phases(
@@ -107,13 +107,13 @@ def decrypt_branch_phases(
 
 def rotate_branches(g: Gadget, theta0: int, theta1: int) -> Gadget:
     """Diagonal phase op: branch b picks up e^{i theta_b pi/4}."""
-    return Gadget(g.keys, (g.t0 + theta0) % 8, (g.t1 + theta1) % 8, g.parts)
+    return tuple.__new__(Gadget, (g.keys, (g.t0 + theta0) % 8, (g.t1 + theta1) % 8, g.parts))
 
 
 def dephase(g: Gadget, revealed: int) -> Gadget:
     """Rotate branch 1 by e^{-i revealed pi/4} (the server's reaction to a
     revealed relative phase; residual relative phase = old - revealed)."""
-    return Gadget(g.keys, g.t0, (g.t1 - revealed) % 8, g.parts)
+    return tuple.__new__(Gadget, (g.keys, g.t0, (g.t1 - revealed) % 8, g.parts))
 
 
 def std_sample(g: Gadget, rng: Random) -> tuple[int, Bits]:
@@ -244,10 +244,10 @@ def combine_step(
 
     crossed = int(rng.random() >= 0.5)
     tb = (g_b.t0, g_b.t1)
-    combined = Gadget(
-        g_a.keys, (g_a.t0 + tb[crossed]) % 8, (g_a.t1 + tb[1 - crossed]) % 8, (g_a.parts, g_b.keys, crossed)
+    combined = tuple.__new__(
+        Gadget, (g_a.keys, (g_a.t0 + tb[crossed]) % 8, (g_a.t1 + tb[1 - crossed]) % 8, (g_a.parts, g_b.keys, crossed))
     )
-    return Bits(r01 if crossed else r00, kappa), combined
+    return tuple.__new__(Bits, (r01 if crossed else r00, kappa)), combined
 
 
 def decode_output(gadgets: list[Gadget], revealed_keys: list[KeyPair]) -> tuple[PlusStateVector, int]:

@@ -22,7 +22,7 @@ from random import Random
 from typing import NamedTuple
 
 from .adversary import Strategy, parse_strategy
-from .oracle import derive_seed
+from .oracle import derive_seed, randbytes
 from .protocol import check_size, run_pre_rspv
 
 #: bucket names in dispatch order; quiz = the scored in-phase round
@@ -56,10 +56,10 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
 def master_seed_from(rng) -> bytes:
     """Normalize any seed-ish argument to a 32-byte master seed."""
     if isinstance(rng, Random):
-        return rng.randbytes(32)
+        return randbytes(rng, 32)
     if isinstance(rng, (bytes, bytearray)) and len(rng) == 32:
         return bytes(rng)
-    return Random(rng).randbytes(32)
+    return randbytes(Random(rng), 32)
 
 
 class ExperimentReport(NamedTuple):
@@ -102,12 +102,17 @@ class ExperimentReport(NamedTuple):
         return json.dumps(self.to_dict(timing=timing), separators=(",", ":")) + "\n"
 
 
-def _run_one(args) -> tuple[str, bool, bool, float | None]:
-    """Worker body: one session reduced to the aggregate-relevant tuple."""
-    spec, seed, kappa, L, force_plan = args
-    out = run_pre_rspv(parse_strategy(spec), seed, kappa=kappa, L=L, force_plan=force_plan)
+def _session(strategy: Strategy, seed, kappa: int, L: int, force_plan) -> tuple[str, bool, bool, float | None]:
+    """One session reduced to the aggregate-relevant tuple."""
+    out = run_pre_rspv(strategy, seed, kappa=kappa, L=L, force_plan=force_plan)
     fid = out.outputs.fidelity() if out.outputs is not None else None
     return out.round_type, out.flag, bool(out.score), fid
+
+
+def _run_one(args) -> tuple[str, bool, bool, float | None]:
+    """Pool worker body: ``_session`` with the strategy rebuilt from its spec."""
+    spec, *rest = args
+    return _session(parse_strategy(spec), *rest)
 
 
 def estimate_rates(
@@ -145,10 +150,7 @@ def estimate_rates(
         with Pool(workers) as pool:
             results = pool.map(_run_one, jobs, chunksize=_CHUNK)
     else:
-        results = [
-            _run_one((strategy.spec, derive_seed(master, "session", i), kappa, L, force_plan))
-            for i in range(sessions)
-        ]
+        results = [_session(strategy, derive_seed(master, "session", i), kappa, L, force_plan) for i in range(sessions)]
     elapsed = time.perf_counter() - t0
 
     round_counts: dict[str, int] = {}

@@ -38,7 +38,7 @@ from random import Random
 from typing import NamedTuple
 
 from .bits import Bits
-from .oracle import _stream_bits, prf_key
+from .oracle import _stream_bits, prf_key, randbelow, randbytes
 
 _ROUNDS = 4
 
@@ -85,8 +85,9 @@ def keygen(kappa: int, rng: Random) -> NtcfKey:
     """Sample a permutation seed and a nonzero hidden shift."""
     if kappa < 2:
         raise ValueError("kappa must be >= 2 (shift space degenerate below that)")
-    perm_seed = rng.randbytes(32)  # drawn before the shift, as the golden digests pin
-    return NtcfKey(kappa, Bits(rng.randrange(1, 1 << kappa), kappa), prf_key(perm_seed), {})
+    perm_seed = randbytes(rng, 32)  # drawn before the shift, as the golden digests pin
+    shift = tuple.__new__(Bits, (1 + randbelow(rng, (1 << kappa) - 1), kappa))
+    return tuple.__new__(NtcfKey, (kappa, shift, prf_key(perm_seed), {}))
 
 
 def eval_claw(pk: NtcfKey, rng: Random) -> ClawResult:
@@ -99,8 +100,9 @@ def eval_claw(pk: NtcfKey, rng: Random) -> ClawResult:
     """
     kappa = pk.kappa
     u = rng.getrandbits(kappa)
-    y = Bits(_permute(pk, u << kappa), 2 * kappa)
-    return ClawResult(y=y, x0=Bits(u, kappa), x1=Bits(u ^ pk.shift.value, kappa))
+    new = tuple.__new__
+    y = new(Bits, (_permute(pk, u << kappa), 2 * kappa))
+    return new(ClawResult, (y, new(Bits, (u, kappa)), new(Bits, (u ^ pk.shift.value, kappa))))
 
 
 def dec(sk: NtcfKey, b: int, y: Bits) -> Bits | None:
@@ -111,14 +113,14 @@ def dec(sk: NtcfKey, b: int, y: Bits) -> Bits | None:
     u = _unpermute(sk, y.value)
     if u & ((1 << kappa) - 1):
         return None
-    x = Bits(u >> kappa, kappa)
+    x = tuple.__new__(Bits, (u >> kappa, kappa))
     return claw_partner(sk, x) if b else x
 
 
 def claw_partner(sk: NtcfKey, x: Bits) -> Bits:
     """The other preimage of x's image: claws are exactly (x, x XOR s), so
     claw_partner(sk, dec(sk, 0, y)) == dec(sk, 1, y) for every valid y."""
-    return Bits(x.value ^ sk.shift.value, x.width)
+    return tuple.__new__(Bits, (x.value ^ sk.shift.value, x.width))
 
 
 def chk(pk: NtcfKey, b: int, x: Bits, y: Bits) -> bool:

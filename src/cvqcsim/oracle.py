@@ -98,6 +98,30 @@ def fresh_pad(rng: Random, kappa: int) -> Bits:
     return Bits(rng.getrandbits(kappa) if kappa else 0, kappa)
 
 
+def randbelow(rng: Random, n: int) -> int:
+    """``rng.randrange(n)`` for n >= 1 (``choice`` indexes with it), without
+    its pure-Python wrappers: n.bit_length() bits, redrawn while >= n.  This
+    and the two draws below take the MT19937 stream exactly as CPython's
+    methods do; seeded outputs need only random() and getrandbits()."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def shuffle(rng: Random, x: list) -> None:
+    """``rng.shuffle(x)``: the same Fisher-Yates swaps from the same draws."""
+    for i in range(len(x) - 1, 0, -1):
+        j = randbelow(rng, i + 1)
+        x[i], x[j] = x[j], x[i]
+
+
+def randbytes(rng: Random, n: int) -> bytes:
+    """``rng.randbytes(n)``."""
+    return rng.getrandbits(8 * n).to_bytes(n, "little")
+
+
 def derive_seed(master: bytes, label: str, index: int = 0) -> bytes:
     """Independent 32-byte subseed: counter-mode blake2b keyed by the master seed."""
     return blake2b(label.encode() + index.to_bytes(8, "big"), key=master, digest_size=32).digest()

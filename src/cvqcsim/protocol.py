@@ -51,7 +51,7 @@ from typing import NamedTuple
 from .adversary import HELPER, ServerSession, Strategy
 from .gadget import ROOT8, KeyPair, PlusStateVector, TableMismatch, branch_words, fidelity_ideal, merge_keys
 from .ntcf import claw_partner, dec, eval_claw, keygen
-from .oracle import RandomOracle, fresh_pad
+from .oracle import RandomOracle, fresh_pad, randbelow, randbytes
 from .tables import TagCollision, make_combine_table, make_phase_table, table_payload
 
 ROUND_TYPES = ("test", "prep:stdb", "prep:coph", "prep:inph", "prep:bn", "comp")
@@ -127,9 +127,9 @@ def open_session(
     if isinstance(seed, tuple):
         seed = repr(seed)  # Random rejects tuples; any other non-primitive raises
     master = Random(seed)
-    oracle = RandomOracle(master.randbytes(32))
-    client_rng = Random(master.randbytes(32))
-    server_rng = Random(master.randbytes(32))
+    oracle = RandomOracle(randbytes(master, 32))
+    client_rng = Random(randbytes(master, 32))
+    server_rng = Random(randbytes(master, 32))
     return ClientSession(strategy.begin(oracle, server_rng, kappa), tr, oracle, client_rng, kappa, L)
 
 
@@ -180,7 +180,7 @@ def run_setup(s: ClientSession) -> bool:
         x0 = dec(key, 0, y)
         if x0 is None:
             return False
-        s.keys[idx] = KeyPair(x0, claw_partner(key, x0))
+        s.keys[idx] = tuple.__new__(KeyPair, (x0, claw_partner(key, x0)))
     return True
 
 
@@ -240,7 +240,7 @@ def run_add_phase(s: ClientSession) -> bool:
     server, tr, oracle, rng, kappa, keys = s.server, s.tr, s.oracle, s.rng, s.kappa, s.keys
     helper = keys[HELPER]
     for i in range(s.L + 1):
-        theta = rng.randrange(8)
+        theta = randbelow(rng, 8)
         s.thetas[i] = theta
         table = make_phase_table(helper, keys[i], (0, theta), kappa, oracle, rng)
         if tr.recording:
@@ -295,7 +295,7 @@ def _coin_check(s: ClientSession, base: int, kk: KeyPair, tt: int, force_coin: s
         coin = force_coin
     if coin == "std":
         return run_stdb_test(s, {base: kk}, [base])
-    delta = s.rng.choice((0, 4))
+    delta = (0, 4)[randbelow(s.rng, 2)]
     ok, parity = run_hadamard_test(s, base, kk, tt, delta)
     return ok and parity == (1 if delta == 4 else 0)
 
@@ -318,7 +318,7 @@ def run_inph_test(s: ClientSession, force_delta: int | None = None) -> tuple[boo
     cos^2(pi/8), and that event is the quiz win (score).  Returns
     (flag, score, delta).
     """
-    delta = s.rng.choice((0, 4, 1))
+    delta = (0, 4, 1)[randbelow(s.rng, 3)]
     if force_delta is not None:
         delta = force_delta
     ok, parity = run_hadamard_test(s, 0, s.keys[0], s.thetas[0], delta)
@@ -406,7 +406,7 @@ def run_pre_rspv(
     tr = s.tr
 
     bare_test = s.rng.random() < 0.5
-    sub = s.rng.randrange(5)
+    sub = randbelow(s.rng, 5)
     plan = "test" if bare_test else _PREP_MENU[sub]
     if force_plan is not None:
         if force_plan not in ROUND_TYPES:

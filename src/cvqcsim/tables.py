@@ -30,7 +30,7 @@ from random import Random
 from typing import NamedTuple
 
 from .bits import Bits, token_field
-from .oracle import RandomOracle
+from .oracle import RandomOracle, shuffle
 
 Z8 = "Z8"
 XOR = "XOR"
@@ -78,7 +78,7 @@ def encrypt(
         masked = (query(((pad_r << kw) | kv, width), 3) + p) % 8
     else:
         masked = query(((pad_r << kw) | kv, width), kappa) ^ p
-    return Ciphertext(pad_r, masked, pad_rp, query(((pad_rp << kw) | kv, width), kappa))
+    return tuple.__new__(Ciphertext, (pad_r, masked, pad_rp, query(((pad_rp << kw) | kv, width), kappa)))
 
 
 def decrypt_row(table: LookupTable, key: tuple[int, int], oracle: RandomOracle) -> tuple[int, int] | None:
@@ -134,8 +134,8 @@ def _build_table(
     for _ in range(4096):
         rows = [encrypt(k, p, group, kappa, oracle, rng) for k, p in zip(pairs, plaintexts)]
         if _cross_clean(rows, keys, kw, oracle, kappa):
-            rng.shuffle(rows)
-            return LookupTable(tuple(rows), group, kappa)
+            shuffle(rng, rows)
+            return tuple.__new__(LookupTable, (tuple(rows), group, kappa))
     raise RuntimeError("could not build a collision-free table (kappa too small?)")
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cvqcsim.bits import Bits
-from cvqcsim.oracle import RandomOracle, _stream_bits, derive_seed, fresh_pad
+from cvqcsim.oracle import RandomOracle, _stream_bits, derive_seed, fresh_pad, randbelow, randbytes, shuffle
 
 SEED_A = bytes(range(32))
 SEED_B = bytes(range(1, 33))
@@ -113,3 +113,27 @@ def test_derive_seed_independent_labels():
     assert s != derive_seed(SEED_A, "client", 4)
     assert s != derive_seed(SEED_A, "server", 3)
     assert s == derive_seed(SEED_A, "client", 3)
+
+
+class TestDrawRule:
+    """``randbelow``, ``shuffle`` and ``randbytes`` against the ``Random``
+    methods they stand in for, on a twin generator: the same values and the
+    same MT19937 state after, so every later draw of a session agrees too."""
+
+    SIZES = sorted({2, 3, 5, 8, 2**16 - 1, *range(1, 71)})
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_random_on_a_twin(self, seed):
+        ours, twin = random.Random(seed), random.Random(seed)
+        for n in self.SIZES:
+            assert randbelow(ours, n) == twin.randrange(n)
+            assert 1 + randbelow(ours, n) == twin.randrange(1, n + 1)  # keygen's shift draw
+            seq = range(100, 100 + n)
+            assert seq[randbelow(ours, n)] == twin.choice(seq)
+            x, y = list(seq), list(seq)
+            shuffle(ours, x)
+            twin.shuffle(y)
+            assert x == y
+            assert randbytes(ours, n) == twin.randbytes(n)
+        assert randbytes(ours, 32) == twin.randbytes(32)
+        assert ours.getstate() == twin.getstate()

@@ -3,8 +3,8 @@
 Counters are installed by monkeypatching the names the code looks up at
 call time (``protocol.dec``, ``protocol.table_payload``, ``Bits.token``, the
 module-global ``_stream_bits`` in ``ntcf`` and ``oracle``, ``ntcf.prf_key``,
-``Bits.__new__``), so these tests pin how much work a session does without
-timing anything.
+the ``Random`` methods, every route that builds a ``Bits``), so these tests
+pin how much work a session does without timing anything.
 """
 
 import gc
@@ -12,10 +12,12 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from random import Random
 
 import pytest
 
 import cvqcsim.adversary as adv
+import cvqcsim.harness as harness
 import cvqcsim.ntcf as ntcf
 import cvqcsim.oracle as oracle
 import cvqcsim.protocol as protocol
@@ -101,11 +103,58 @@ def test_prf_calls_per_gadget_are_linear_in_L(counts):
         assert abs(total[large] / total[small] - 1) <= 0.05, (plan, total)
 
 
-def test_bits_built_per_gadget_are_linear_in_L(counts):
+@pytest.fixture
+def bits_built(monkeypatch):
+    """Counter of the Bits a session constructs ("bits") and of their widths
+    ("width"), by every route: the generated ``Bits.__new__``, ``Bits._make``
+    (which ``_replace`` calls) and ``tuple.__new__(Bits, fields)`` in any
+    package module, seen through a module-global ``tuple`` that shadows the
+    builtin (``tuple(x)`` there still makes a plain tuple)."""
+    tally: Counter = Counter()
+
+    def record(fields):
+        tally["bits"] += 1
+        tally["width"] += fields[1]
+
+    class CountingTuple(tuple):
+        @staticmethod
+        def __new__(cls, *args):
+            if cls is CountingTuple:
+                return tuple(*args)
+            if cls is Bits:
+                record(*args)
+            return tuple.__new__(cls, *args)
+
+    generated, make = Bits.__new__, Bits._make
+
+    def counted_new(cls, value, width):
+        record((value, width))
+        return generated(cls, value, width)
+
+    def counted_make(cls, iterable):
+        fields = tuple(iterable)
+        record(fields)
+        return make(fields)
+
+    monkeypatch.setattr(Bits, "__new__", counted_new)
+    monkeypatch.setattr(Bits, "_make", classmethod(counted_make))
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cvqcsim."):
+            monkeypatch.setattr(mod, "tuple", CountingTuple, raising=False)
+    return tally
+
+
+# Bits objects built by the four L=128 sessions of each fold round below,
+# counted at the commit before records moved to tuple.__new__, when every
+# Bits went through the generated __new__: a hook that misses a
+# construction route reads fewer.
+BITS_AT_L128 = {"prep:coph": 3724, "prep:bn": 3471}
+
+
+def test_bits_built_per_gadget_are_linear_in_L(bits_built):
     # a fold builds its merged key pair once, when the coin measures it, so
     # the bits of every Bits a session constructs grow with L, not L^2
-    tally, patch = counts
-    patch(Bits, "__new__", "bits", weight=lambda cls, value, width: width)
+    tally = bits_built
     for plan in ("prep:coph", "prep:bn"):
         per_gadget = {}
         for L, sessions in ((128, 4), (4096, 1)):
@@ -113,8 +162,18 @@ def test_bits_built_per_gadget_are_linear_in_L(counts):
             for i in range(sessions):
                 out = run_pre_rspv(HONEST, f"bits-{plan}-{L}-{i}", kappa=16, L=L, force_plan=plan, force_coin="had")
                 assert out.round_type == plan
-            per_gadget[L] = tally["bits"] / (L * sessions)
+            if L == 128:
+                assert tally["bits"] == BITS_AT_L128[plan], plan
+            per_gadget[L] = tally["width"] / (L * sessions)
         assert per_gadget[4096] <= 1.05 * per_gadget[128], (plan, per_gadget)
+
+
+def test_bits_hook_sees_every_construction_route(bits_built):
+    Bits(1, 3)
+    Bits._make((1, 4))
+    Bits(1, 5)._replace(value=0)
+    ntcf.tuple.__new__(Bits, (1, 6))  # as a package module spells it
+    assert bits_built == Counter(bits=5, width=3 + 4 + 5 + 5 + 6)
 
 
 # (oracle._stream_bits, ntcf._stream_bits) calls per session at kappa=16,
@@ -141,6 +200,29 @@ def test_prf_calls_per_session_are_pinned(counts):
             tally.clear()
             run_pre_rspv(adv.parse_strategy(name), f"prf-{plan}", kappa=16, L=8, force_plan=plan)
             assert (tally["oracle"], tally["ntcf"]) == want, (name, plan)
+
+
+def test_sessions_draw_without_random_py_wrappers(counts):
+    # every draw goes straight to getrandbits or random(), through the draw
+    # rule in ``oracle`` (``randbelow``, ``shuffle``, ``randbytes``)
+    tally, patch = counts
+    wrappers = ("randrange", "choice", "shuffle", "randbytes", "_randbelow")
+    for attr in wrappers:
+        patch(Random, attr, attr)
+    for name in adv._SESSIONS:
+        for plan in (None, *ROUND_TYPES):
+            run_pre_rspv(adv.parse_strategy(name), f"draws-{plan}", kappa=16, L=8, force_plan=plan)
+    assert tally == Counter()
+    Random(0).shuffle([0, 1, 2])  # the counters do see a wrapper call
+    assert tally == Counter(shuffle=1, _randbelow=2)
+
+
+def test_serial_rates_parse_no_strategy(counts):
+    tally, patch = counts
+    patch(harness, "parse_strategy", "parse")
+    report = harness.estimate_rates(2, 8, 16, HONEST, "serial")
+    assert report.sessions == 16
+    assert tally["parse"] == 0
 
 
 def test_tampered_image_pays_for_its_own_rounds(counts, monkeypatch):
