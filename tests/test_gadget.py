@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvqcsim.gadget as gadget
 from cvqcsim.adversary import HELPER, ServerSession
 from cvqcsim.bits import Bits
 from cvqcsim.gadget import (
@@ -16,6 +17,7 @@ from cvqcsim.gadget import (
     TableMismatch,
     combine_step,
     decode_output,
+    decrypt_branch_phases,
     dephase,
     enumerate_hadamard_distribution,
     fidelity_ideal,
@@ -319,6 +321,66 @@ class TestCombine:
             w0, w1 = branch_words(flat.keys, pad, o, 10)
             d = hadamard_sample(flat, pad, o, rng)
             assert d.parity_with(w0.xor(w1)) == 0
+
+
+@pytest.fixture
+def decrypts(monkeypatch):
+    """The keys of every ``decrypt_row`` call the gadget module makes, in order."""
+    keys = []
+    decrypt_row = gadget.decrypt_row
+
+    def recording(table, key, oracle):
+        keys.append(key)
+        return decrypt_row(table, key, oracle)
+
+    monkeypatch.setattr(gadget, "decrypt_row", recording)
+    return keys
+
+
+class TestServerDecryptOrder:
+    """The server opens a table's rows one key at a time, in a fixed order,
+    and stops at the first key that opens no row."""
+
+    kappa = 12
+
+    def _keys(self, salt):
+        rng = random.Random(salt)
+        return RandomOracle(SEED), rng, _pair(rng, self.kappa), _pair(rng, self.kappa), _pair(rng, self.kappa)
+
+    def test_branch_phases_in_branch_order(self, decrypts):
+        o, rng, hk, gk, _ = self._keys(30)
+        tbl = make_phase_table(hk, gk, (3, 6), self.kappa, o, rng)
+        assert decrypt_branch_phases(make_gadget(gk), tbl, hk[1], o) == (3, 6)
+        assert decrypts == [hk[1].concat(gk[0]), hk[1].concat(gk[1])]
+
+    def test_branch_phases_abort_at_first_missing_row(self, decrypts):
+        o, rng, hk, gk, other = self._keys(31)
+        tbl = make_phase_table(hk, gk, (1, 2), self.kappa, o, rng)
+        with pytest.raises(TableMismatch):
+            decrypt_branch_phases(make_gadget(other), tbl, hk[0], o)  # a table for other keys
+        assert len(decrypts) == 1
+        decrypts.clear()
+        with pytest.raises(TableMismatch):  # branch 0 opens a row, branch 1 none
+            decrypt_branch_phases(make_gadget(KeyPair(gk[0], other[1])), tbl, hk[0], o)
+        assert decrypts == [hk[0].concat(gk[0]), hk[0].concat(other[1])]
+
+    def test_combine_in_subscript_order(self, decrypts):
+        o, rng, ka, kb, (r0, r1) = self._keys(32)
+        tbl = make_combine_table(ka, kb, r0, r1, self.kappa, o, rng)
+        combine_step(make_gadget(ka), make_gadget(kb), tbl, o, rng)
+        assert decrypts == [ka[a].concat(kb[b]) for a in (0, 1) for b in (0, 1)]
+
+    def test_combine_aborts_at_first_missing_row(self, decrypts):
+        o, rng, ka, kb, (r0, r1) = self._keys(33)
+        other = _pair(rng, self.kappa)
+        tbl = make_combine_table(ka, kb, r0, r1, self.kappa, o, rng)
+        with pytest.raises(TableMismatch):
+            combine_step(make_gadget(other), make_gadget(kb), tbl, o, rng)  # a table for other keys
+        assert len(decrypts) == 1
+        decrypts.clear()
+        with pytest.raises(TableMismatch):  # (0, 0) opens a row, (0, 1) none
+            combine_step(make_gadget(ka), make_gadget(KeyPair(kb[0], other[1])), tbl, o, rng)
+        assert decrypts == [ka[0].concat(kb[0]), ka[0].concat(other[1])]
 
 
 class TestDecodeAndFidelity:

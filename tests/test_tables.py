@@ -60,14 +60,19 @@ class TestEncrypt:
     def test_rejects_bad_plaintext(self):
         o = RandomOracle(SEED)
         rng = random.Random(2)
+        state = rng.getstate()  # every check runs before the pads are drawn
         with pytest.raises(AssertionError):
             encrypt(Bits(1, 8), 9, Z8, 8, o, rng)
+        assert rng.getstate() == state
         with pytest.raises(AssertionError):
             encrypt(Bits(1, 8), 1 << 8, XOR, 8, o, rng)  # wider than kappa
+        assert rng.getstate() == state
         with pytest.raises(AssertionError):
             encrypt(Bits(1, 8), Bits(0, 8), XOR, 8, o, rng)  # not an int
+        assert rng.getstate() == state
         with pytest.raises(ValueError):
             encrypt(Bits(1, 8), 0, "GF4", 8, o, rng)
+        assert rng.getstate() == state
 
 
 class TestDecryptRow:

@@ -202,6 +202,25 @@ def test_prf_calls_per_session_are_pinned(counts):
             assert (tally["oracle"], tally["ntcf"]) == want, (name, plan)
 
 
+# RandomOracle.query calls per session, for the sessions PRF_CALLS pins.
+# PRF misses alone would not see a dropped memo hit, such as a decrypt that
+# stops at its first match and so skips the TagCollision scan of the rest.
+QUERY_CALLS = {
+    "honest": {"test": 0, "prep:stdb": 274, "prep:coph": 598, "prep:inph": 278, "prep:bn": 434, "comp": 274},
+    "random_response": {"test": 0, "prep:stdb": 272, "prep:coph": 312, "prep:inph": 272, "prep:bn": 272, "comp": 272},
+}
+
+
+def test_oracle_queries_per_session_are_pinned(counts):
+    tally, patch = counts
+    patch(oracle.RandomOracle, "query", "query")
+    for name, per_plan in QUERY_CALLS.items():
+        for plan, want in per_plan.items():
+            tally.clear()
+            run_pre_rspv(adv.parse_strategy(name), f"prf-{plan}", kappa=16, L=8, force_plan=plan)
+            assert tally["query"] == want, (name, plan)
+
+
 def test_sessions_draw_without_random_py_wrappers(counts):
     # every draw goes straight to getrandbits or random(), through the draw
     # rule in ``oracle`` (``randbelow``, ``shuffle``, ``randbytes``)
