@@ -8,10 +8,11 @@ nonzero shift s and an injective map G, and let
     f(b, x) = G(x XOR b*s),        claws are exactly (x, x XOR s).
 
 G(u) = P(u || 0^kappa) with P a 4-round Feistel permutation on 2*kappa bits
-whose round rnd applies a seeded PRF to (rnd << kappa) | half, so G is
-injective and a random-looking 2*kappa-bit image tells you nothing
-structural.  The trapdoor inverts P and strips b*s; a string outside G's
-image (random y: all but a 2^-kappa fraction) decodes to the invalid marker.
+(``_permute`` writes the four rounds out) whose round rnd applies a seeded PRF
+to (rnd << kappa) | half, so G is injective and a random-looking 2*kappa-bit
+image tells you nothing structural.  The trapdoor inverts P and strips b*s; a
+string outside G's image (random y: all but a 2^-kappa fraction) decodes to
+the invalid marker.
 
 This instantiation is functionally exact (2-to-1, trapdoor round-trip, the
 check predicate is the decode biconditional) but NOT computationally
@@ -40,8 +41,6 @@ from typing import NamedTuple
 from .bits import Bits
 from .oracle import _stream_bits, prf_key, randbelow, randbytes
 
-_ROUNDS = 4
-
 
 class NtcfKey(NamedTuple):
     kappa: int
@@ -57,26 +56,40 @@ class ClawResult(NamedTuple):
 
 
 def _permute(key: NtcfKey, u: int) -> int:
-    """P on 2*kappa-bit ints."""
-    kappa, prf, rounds = key.kappa, key.prf, key.rounds
+    """P on 2*kappa-bit ints, each half updated in place, not swapped."""
+    kappa, _, prf, rounds = key
+    width = kappa + 8
     left, right = u >> kappa, u & ((1 << kappa) - 1)
-    for rnd in range(_ROUNDS):
-        inp = (rnd << kappa) | right
-        out = rounds.get(inp)
-        if out is None:
-            out = rounds[inp] = _stream_bits(prf, (inp, kappa + 8), kappa)
-        left, right = right, left ^ out
-    return (left << kappa) | right
+    out = rounds.get(right)  # round 0's input (0 << kappa) | right
+    if out is None:
+        out = rounds[right] = _stream_bits(prf, (right, width), kappa)
+    left ^= out
+    inp = (1 << kappa) | left
+    out = rounds.get(inp)
+    if out is None:
+        out = rounds[inp] = _stream_bits(prf, (inp, width), kappa)
+    right ^= out
+    inp = (2 << kappa) | right
+    out = rounds.get(inp)
+    if out is None:
+        out = rounds[inp] = _stream_bits(prf, (inp, width), kappa)
+    left ^= out
+    inp = (3 << kappa) | left
+    out = rounds.get(inp)
+    if out is None:
+        out = rounds[inp] = _stream_bits(prf, (inp, width), kappa)
+    return (left << kappa) | (right ^ out)
 
 
 def _unpermute(key: NtcfKey, y: int) -> int:
-    kappa, prf, rounds = key.kappa, key.prf, key.rounds
+    kappa, _, prf, rounds = key
+    width = kappa + 8
     left, right = y >> kappa, y & ((1 << kappa) - 1)
-    for rnd in reversed(range(_ROUNDS)):
+    for rnd in (3, 2, 1, 0):
         inp = (rnd << kappa) | left
         out = rounds.get(inp)
         if out is None:
-            out = rounds[inp] = _stream_bits(prf, (inp, kappa + 8), kappa)
+            out = rounds[inp] = _stream_bits(prf, (inp, width), kappa)
         left, right = right ^ out, left
     return (left << kappa) | right
 

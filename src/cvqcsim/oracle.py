@@ -51,10 +51,10 @@ def _stream_bits(keyed: blake2b, inp: tuple[int, int], out_len: int) -> int:
     """
     value, width = inp
     nbytes = (width + 7) // 8
-    if out_len <= 8 * _BLOCK_BYTES:
+    if out_len <= 512:  # 8 * _BLOCK_BYTES: one block
         h = keyed.copy()
         h.update((((width << (8 * nbytes)) | value) << 32).to_bytes(nbytes + 8, "big"))
-        return int.from_bytes(h.digest(), "big") >> (8 * _BLOCK_BYTES - out_len)
+        return int.from_bytes(h.digest(), "big") >> (512 - out_len)
     prefix = ((width << (8 * nbytes)) | value).to_bytes(nbytes + 4, "big")
     chunks = []
     for ctr in range((out_len + 8 * _BLOCK_BYTES - 1) // (8 * _BLOCK_BYTES)):

@@ -195,7 +195,10 @@ def run_stdb_test(s: ClientSession, keys: dict[int, KeyPair], indices: list[int]
         tr.say("server", "reply.std", '{"values":[%s]}' % ",".join(['"%s"' % b.token() for b in resp]))
     if len(resp) != len(indices):
         return False
-    return all(r in keys[i] for i, r in zip(indices, resp))
+    for i, r in zip(indices, resp):
+        if r not in keys[i]:
+            return False
+    return True
 
 
 def run_hadamard_test(

@@ -11,6 +11,10 @@ such rows under different keys; whoever holds one of the keys finds their row
 by recomputing the tag and unmasks their plaintext, and learns nothing about
 the other rows (each mask is an independent oracle entry).
 
+Every table has four rows, one per pair of branch subscripts, and the build
+and open paths are written for that shape: four keys and plaintexts as
+literals, four ``encrypt`` calls, and in ``gadget`` two (phase) or four
+(combine) ``decrypt_row`` calls, each by name.
 Two table shapes are used upstream:
 
 * phase table — 4 rows keyed helper-branch-key || gadget-branch-key, the
@@ -62,22 +66,21 @@ def encrypt(
     key: tuple[int, int], p: int, group: str, kappa: int, oracle: RandomOracle, rng: Random
 ) -> Ciphertext:
     """One row: plaintext p masked under key (a (value, width) pair), plus
-    the key-auth tag."""
-    if group == Z8:
-        assert isinstance(p, int) and 0 <= p < 8, f"Z8 plaintext out of range: {p}"
-    elif group == XOR:
-        assert isinstance(p, int) and 0 <= p < 1 << kappa, "XOR plaintext must be kappa bits"
-    else:
-        raise ValueError(f"unknown group {group!r}")
+    the key-auth tag; group and p are checked before a pad is drawn."""
     kv, kw = key
     width = kappa + kw
     query = oracle.query
-    pad_r = rng.getrandbits(kappa)
-    pad_rp = rng.getrandbits(kappa)
     if group == Z8:
+        assert isinstance(p, int) and 0 <= p < 8, f"Z8 plaintext out of range: {p}"
+        pad_r = rng.getrandbits(kappa)
         masked = (query(((pad_r << kw) | kv, width), 3) + p) % 8
-    else:
+    elif group == XOR:
+        assert isinstance(p, int) and 0 <= p < 1 << kappa, "XOR plaintext must be kappa bits"
+        pad_r = rng.getrandbits(kappa)
         masked = query(((pad_r << kw) | kv, width), kappa) ^ p
+    else:
+        raise ValueError(f"unknown group {group!r}")
+    pad_rp = rng.getrandbits(kappa)
     return tuple.__new__(Ciphertext, (pad_r, masked, pad_rp, query(((pad_rp << kw) | kv, width), kappa)))
 
 
@@ -110,7 +113,8 @@ def _cross_clean(rows: list[Ciphertext], keys: list[int], kw: int, oracle: Rando
     """True iff no intended key (kw bits wide) falsely opens another key's row."""
     query = oracle.query
     width = kappa + kw
-    tags = [(pad_rp << kw, tag) for _, _, pad_rp, tag in rows]
+    (_, _, p0, t0), (_, _, p1, t1), (_, _, p2, t2), (_, _, p3, t3) = rows
+    tags = ((p0 << kw, t0), (p1 << kw, t1), (p2 << kw, t2), (p3 << kw, t3))
     for i, kv in enumerate(keys):
         for j, (head, tag) in enumerate(tags):
             if i != j and query((head | kv, width), kappa) == tag:
@@ -130,9 +134,15 @@ def _build_table(
     enough to swamp the protocol's 2^-kappa failure budget.  The client holds
     all four keys, so she simply checks and rebuilds.
     """
-    pairs = [(kv, kw) for kv in keys]
+    k0, k1, k2, k3 = keys
+    p0, p1, p2, p3 = plaintexts
     for _ in range(4096):
-        rows = [encrypt(k, p, group, kappa, oracle, rng) for k, p in zip(pairs, plaintexts)]
+        rows = [
+            encrypt((k0, kw), p0, group, kappa, oracle, rng),
+            encrypt((k1, kw), p1, group, kappa, oracle, rng),
+            encrypt((k2, kw), p2, group, kappa, oracle, rng),
+            encrypt((k3, kw), p3, group, kappa, oracle, rng),
+        ]
         if _cross_clean(rows, keys, kw, oracle, kappa):
             shuffle(rng, rows)
             return tuple.__new__(LookupTable, (tuple(rows), group, kappa))
@@ -144,7 +154,8 @@ def _cross_keys(k_a: tuple[Bits, Bits], k_b: tuple[Bits, Bits]) -> tuple[list[in
     (1,1), and their common width."""
     (a0, wa), (a1, _) = k_a
     (b0, wb), (b1, _) = k_b
-    return [(a << wb) | b for a in (a0, a1) for b in (b0, b1)], wa + wb
+    a0, a1 = a0 << wb, a1 << wb
+    return [a0 | b0, a0 | b1, a1 | b0, a1 | b1], wa + wb
 
 
 def make_phase_table(
@@ -158,8 +169,8 @@ def make_phase_table(
     """Four rows: helper-branch || gadget-branch -> that gadget branch's phase."""
     assert helper_k[0] != helper_k[1] and k_i[0] != k_i[1], "branch keys must be distinct"
     keys, kw = _cross_keys(helper_k, k_i)
-    plaintexts = [theta_i[b] % 8 for _ in (0, 1) for b in (0, 1)]
-    return _build_table(keys, kw, plaintexts, Z8, kappa, oracle, rng)
+    t0, t1 = theta_i[0] % 8, theta_i[1] % 8
+    return _build_table(keys, kw, [t0, t1, t0, t1], Z8, kappa, oracle, rng)
 
 
 def make_combine_table(
@@ -177,8 +188,7 @@ def make_combine_table(
         raise ValueError("combine targets r0 and r1 must differ")
     assert r0[1] == r1[1] == kappa, "combine targets must be kappa bits"
     keys, kw = _cross_keys(k_a, k_b)
-    plaintexts = [r0[0] if ba == bb else r1[0] for ba in (0, 1) for bb in (0, 1)]
-    return _build_table(keys, kw, plaintexts, XOR, kappa, oracle, rng)
+    return _build_table(keys, kw, [r0[0], r1[0], r1[0], r0[0]], XOR, kappa, oracle, rng)
 
 
 def table_payload(table: LookupTable) -> str:
