@@ -94,15 +94,15 @@ def make_gadget(keys: KeyPair, phases: tuple[int, int] = (0, 0)) -> Gadget:
 def decrypt_branch_phases(
     g: Gadget, table: LookupTable, helper_key_in_hand: Bits, oracle: RandomOracle
 ) -> tuple[int, int]:
-    """What the server learns per branch from a phase table: (theta0, theta1),
-    opening branch 0's row, then branch 1's."""
+    """What the server learns per branch from a phase table: (theta0, theta1)."""
+    out = []
     hv, hw = helper_key_in_hand
-    (v0, w0), (v1, w1) = g.keys
-    hit0 = decrypt_row(table, ((hv << w0) | v0, hw + w0), oracle)
-    hit1 = hit0 and decrypt_row(table, ((hv << w1) | v1, hw + w1), oracle)
-    if hit1 is None:
-        raise TableMismatch("phase table has no row for a branch key")
-    return hit0[1], hit1[1]
+    for x_b in g.keys:
+        hit = decrypt_row(table, ((hv << x_b.width) | x_b.value, hw + x_b.width), oracle)
+        if hit is None:
+            raise TableMismatch("phase table has no row for a branch key")
+        out.append(hit[1])
+    return out[0], out[1]
 
 
 def rotate_branches(g: Gadget, theta0: int, theta1: int) -> Gadget:
@@ -230,18 +230,15 @@ def combine_step(
     ``materialize``, when the register is measured or decoded.
     """
     kappa = table.kappa
-    (a0, wa0), (a1, wa1) = g_a.keys
-    (b0, wb0), (b1, wb1) = g_b.keys
-    a0 >>= wa0 - kappa  # first kappa bits
-    a1 >>= wa1 - kappa
-    # rows in subscript order (0,0), (0,1), (1,0), (1,1); none opened after a missing one
-    r00 = decrypt_row(table, ((a0 << wb0) | b0, kappa + wb0), oracle)
-    r01 = r00 and decrypt_row(table, ((a0 << wb1) | b1, kappa + wb1), oracle)
-    r10 = r01 and decrypt_row(table, ((a1 << wb0) | b0, kappa + wb0), oracle)
-    r11 = r10 and decrypt_row(table, ((a1 << wb1) | b1, kappa + wb1), oracle)
-    if r11 is None:
-        raise TableMismatch("combine table has no row for a branch pair")
-    r00, r01, r10, r11 = r00[1], r01[1], r10[1], r11[1]
+    rows = []
+    for x_a in g_a.keys:
+        head = x_a.value >> (x_a.width - kappa)  # first kappa bits
+        for x_b in g_b.keys:
+            hit = decrypt_row(table, ((head << x_b.width) | x_b.value, kappa + x_b.width), oracle)
+            if hit is None:
+                raise TableMismatch("combine table has no row for a branch pair")
+            rows.append(hit[1])
+    r00, r01, r10, r11 = rows
     if r00 != r11 or r01 != r10 or r00 == r01:
         raise TableMismatch("table decryptions do not form a combine pattern")
 

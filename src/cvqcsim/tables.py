@@ -12,9 +12,8 @@ by recomputing the tag and unmasks their plaintext, and learns nothing about
 the other rows (each mask is an independent oracle entry).
 
 Every table has four rows, one per pair of branch subscripts, and the build
-and open paths are written for that shape: four keys and plaintexts as
-literals, four ``encrypt`` calls, and in ``gadget`` two (phase) or four
-(combine) ``decrypt_row`` calls, each by name.
+path is written for that shape: four keys and plaintexts as literal lists,
+four ``encrypt`` calls by name and four tags unpacked for the cross-clean.
 Two table shapes are used upstream:
 
 * phase table — 4 rows keyed helper-branch-key || gadget-branch-key, the
