@@ -54,7 +54,6 @@ from .gadget import (
     dephase,
     hadamard_sample,
     make_gadget,
-    materialize,
     merge_keys,
     rotate_branches,
     std_sample,
@@ -101,28 +100,24 @@ class ServerSession:
         return revealed
 
     # -- measurements ---------------------------------------------------------
-    def _take(self, idx: int) -> Gadget:
-        """Consume gadget `idx`, its full key pair built (``materialize``)."""
-        return materialize(self.gadgets.pop(idx))
-
     def respond_std(self, indices: list[int]) -> list[Bits]:
-        return [std_sample(self._take(idx), self.rng)[1] for idx in indices]
+        return [std_sample(self.gadgets.pop(idx), self.rng)[1] for idx in indices]
 
     def respond_combine(self, base: int, other: int, table: LookupTable) -> Bits:
         g_a = self.gadgets[base]
-        g_b = self._take(other)
+        g_b = self.gadgets.pop(other)
         r, combined = gadget.combine_step(g_a, g_b, table, self.oracle, self.rng)
         self.gadgets[base] = combined
         return r
 
     def respond_hadamard(self, idx: int, pad: Bits) -> Bits:
-        return hadamard_sample(self._take(idx), pad, self.oracle, self.rng)
+        return hadamard_sample(self.gadgets.pop(idx), pad, self.oracle, self.rng)
 
     # -- output -----------------------------------------------------------
     def decode_outputs(
         self, indices: list[int], revealed: list[KeyPair]
     ) -> tuple[PlusStateVector, int] | None:
-        gs = [self._take(i) for i in indices]
+        gs = [self.gadgets.pop(i) for i in indices]
         return decode_output(gs, revealed)
 
 
@@ -139,7 +134,7 @@ class ConjugateSession(ServerSession):
         # the held state decodes to |+_{-theta}>; X (branch-phase swap) fixes it
         for i in indices:
             g = self.gadgets[i]
-            self.gadgets[i] = tuple.__new__(Gadget, (g.keys, g.t1, g.t0, g.parts))
+            self.gadgets[i] = tuple.__new__(Gadget, (g.base, g.t1, g.t0, g.parts))
         return super().decode_outputs(indices, revealed)
 
 
@@ -164,7 +159,7 @@ class RandomResponseSession(ServerSession):
     def respond_std(self, indices):
         out = []
         for idx in indices:
-            width = self._take(idx).keys.x0.width
+            width = self.gadgets.pop(idx).keys.x0.width
             out.append(tuple.__new__(Bits, (self.rng.getrandbits(width), width)))
         return out
 
@@ -173,8 +168,7 @@ class RandomResponseSession(ServerSession):
         return tuple.__new__(Bits, (self.rng.getrandbits(self.kappa), self.kappa))
 
     def respond_hadamard(self, idx, pad):
-        g = self._take(idx)
-        width = g.keys.x0.width + self.kappa
+        width = self.gadgets.pop(idx).keys.x0.width + self.kappa
         return Bits(self.rng.getrandbits(width), width)
 
     def decode_outputs(self, indices, revealed):
@@ -225,7 +219,7 @@ class GhzSession(ServerSession):
         aligned: each branch key concatenates the outputs' same-subscript keys."""
         first, *rest = order
         keys = merge_keys(self.outputs[first], [(self.outputs[j], 0) for j in rest])
-        return self.joint._replace(keys=keys)
+        return self.joint._replace(base=keys)
 
     def dephase_reveal(self, idx, revealed):
         if idx >= 1:
@@ -247,7 +241,7 @@ class GhzSession(ServerSession):
                 order = self.folded if self.folded and idx == self.folded[0] else [idx]
                 out.append(self._register(order).keys[self._collapse()])
             else:
-                out.append(std_sample(self._take(idx), self.rng)[1])
+                out.append(std_sample(self.gadgets.pop(idx), self.rng)[1])
         return out
 
     def respond_combine(self, base, other, table):

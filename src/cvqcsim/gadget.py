@@ -9,9 +9,10 @@ here, just (keys, t0, t1), and nothing to renormalise.
 
 Folds stay linear-time at any L.  A folded register keeps its base key pair
 (whose first kappa bits key every combine table) and the chain of key pairs
-merged into it, each with its reply's orientation; ``materialize`` builds
-the full key pair once, in one pass (``merge_keys``), when a measurement or
-the decode needs it.
+merged into it, each with its reply's orientation.  Only ``combine_step``
+reads the base pair; ``Gadget.keys`` builds the full key pair on read, in one
+pass (``merge_keys``), so every measurement and the decode see the whole
+register.
 
 Measurement sampling is exact, not approximate:
 
@@ -76,10 +77,22 @@ class KeyPair(NamedTuple):
 
 
 class Gadget(NamedTuple):
-    keys: KeyPair  # a folded register's base pair until ``materialize``
+    base: KeyPair  # the first gadget's pair; its first kappa bits key combine tables
     t0: int  # branch phases in units of pi/4, in 0..7
     t1: int
     parts: tuple | None = None  # folded-in (earlier parts, key pair, crossed), newest first
+
+    @property
+    def keys(self) -> KeyPair:
+        """The full key pair: `parts` merged onto `base` (``merge_keys``)."""
+        node = self.parts
+        if node is None:
+            return self.base
+        parts = []
+        while node is not None:
+            node, kb, crossed = node
+            parts.append((kb, crossed))
+        return merge_keys(self.base, parts[::-1])
 
 
 class PlusStateVector(NamedTuple):
@@ -107,13 +120,13 @@ def decrypt_branch_phases(
 
 def rotate_branches(g: Gadget, theta0: int, theta1: int) -> Gadget:
     """Diagonal phase op: branch b picks up e^{i theta_b pi/4}."""
-    return tuple.__new__(Gadget, (g.keys, (g.t0 + theta0) % 8, (g.t1 + theta1) % 8, g.parts))
+    return tuple.__new__(Gadget, (g.base, (g.t0 + theta0) % 8, (g.t1 + theta1) % 8, g.parts))
 
 
 def dephase(g: Gadget, revealed: int) -> Gadget:
     """Rotate branch 1 by e^{-i revealed pi/4} (the server's reaction to a
     revealed relative phase; residual relative phase = old - revealed)."""
-    return tuple.__new__(Gadget, (g.keys, g.t0, (g.t1 - revealed) % 8, g.parts))
+    return tuple.__new__(Gadget, (g.base, g.t0, (g.t1 - revealed) % 8, g.parts))
 
 
 def std_sample(g: Gadget, rng: Random) -> tuple[int, Bits]:
@@ -204,16 +217,6 @@ def merge_keys(base: KeyPair, parts: list[tuple[KeyPair, int]]) -> KeyPair:
     return KeyPair(_join(x0s), _join(x1s))
 
 
-def materialize(g: Gadget) -> Gadget:
-    """`g` with its full key pair: a folded register's parts merged into its
-    base pair (``merge_keys``); an unfolded gadget as it is."""
-    parts, node = [], g.parts
-    while node is not None:
-        node, kb, crossed = node
-        parts.append((kb, crossed))
-    return Gadget(merge_keys(g.keys, parts[::-1]), g.t0, g.t1) if parts else g
-
-
 def combine_step(
     g_a: Gadget, g_b: Gadget, table: LookupTable, oracle: RandomOracle, rng: Random
 ) -> tuple[Bits, Gadget]:
@@ -225,15 +228,16 @@ def combine_step(
     1/2; the phases of the paired branches add.
     Table rows are keyed by the *first kappa bits* of the a-side branch (the
     client builds them from the base gadget's keys), which are read off
-    g_a's base pair.  The merged gadget keeps that base pair and chains
-    g_b's keys onto its parts; its full key pair is built only by
-    ``materialize``, when the register is measured or decoded.
+    g_a's base pair, so a fold never builds the register.  The merged
+    gadget keeps that base pair and chains g_b's full keys onto its parts;
+    its own full key pair is built when ``keys`` is read.
     """
     kappa = table.kappa
+    keys_b = g_b.keys
     rows = []
-    for x_a in g_a.keys:
+    for x_a in g_a.base:
         head = x_a.value >> (x_a.width - kappa)  # first kappa bits
-        for x_b in g_b.keys:
+        for x_b in keys_b:
             hit = decrypt_row(table, ((head << x_b.width) | x_b.value, kappa + x_b.width), oracle)
             if hit is None:
                 raise TableMismatch("combine table has no row for a branch pair")
@@ -245,7 +249,7 @@ def combine_step(
     crossed = int(rng.random() >= 0.5)
     tb = (g_b.t0, g_b.t1)
     combined = tuple.__new__(
-        Gadget, (g_a.keys, (g_a.t0 + tb[crossed]) % 8, (g_a.t1 + tb[1 - crossed]) % 8, (g_a.parts, g_b.keys, crossed))
+        Gadget, (g_a.base, (g_a.t0 + tb[crossed]) % 8, (g_a.t1 + tb[1 - crossed]) % 8, (g_a.parts, keys_b, crossed))
     )
     return tuple.__new__(Bits, (r01 if crossed else r00, kappa)), combined
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvqcsim.gadget as gadget
-from cvqcsim.adversary import HELPER, ServerSession
+from cvqcsim.adversary import HELPER, ConjugateSession, ServerSession
 from cvqcsim.bits import Bits
 from cvqcsim.gadget import (
     COS2_TABLE,
@@ -15,6 +15,7 @@ from cvqcsim.gadget import (
     KeyPair,
     PlusStateVector,
     TableMismatch,
+    branch_words,
     combine_step,
     decode_output,
     decrypt_branch_phases,
@@ -23,9 +24,9 @@ from cvqcsim.gadget import (
     fidelity_ideal,
     hadamard_sample,
     make_gadget,
-    materialize,
     merge_keys,
     parity_probs,
+    rotate_branches,
     sampler_distribution,
     std_sample,
 )
@@ -167,8 +168,6 @@ class TestHadamardSampler:
         o = RandomOracle(SEED)
         rng = random.Random(16)
         g = make_gadget(_pair(rng, 8))
-        from cvqcsim.gadget import branch_words
-
         w0, w1 = branch_words(g.keys, Bits(0xAB, 8), o, 8)
         delta = w0.xor(w1)
         for _ in range(2000):
@@ -180,8 +179,6 @@ class TestHadamardSampler:
         o = RandomOracle(SEED)
         rng = random.Random(17)
         g = dephase(make_gadget(_pair(rng, 8), (0, 1)), 0)
-        from cvqcsim.gadget import branch_words
-
         w0, w1 = branch_words(g.keys, Bits(0x3C, 8), o, 8)
         delta = w0.xor(w1)
         n = 60_000
@@ -221,8 +218,6 @@ class TestHadamardSampler:
         rng = random.Random(20)
         g = make_gadget(_pair(rng, 3), (0, 2))
         pad = Bits(0b010, 3)
-        from cvqcsim.gadget import branch_words
-
         w0, w1 = branch_words(g.keys, pad, o, 3)
         delta = w0.xor(w1)
         n = 40_000
@@ -278,7 +273,7 @@ class TestCombine:
             r, comb = combine_step(ga, gb, tbl, o, rng)
             if r == r0:
                 break
-        assert materialize(comb).keys == KeyPair(ka.x0.concat(kb.x0), ka.x1.concat(kb.x1))
+        assert comb.keys == KeyPair(ka.x0.concat(kb.x0), ka.x1.concat(kb.x1))
         # equal subscripts pair up: (1+3, 2+4), relative phase 2
         assert (comb.t0, comb.t1) == (4, 6)
 
@@ -288,7 +283,7 @@ class TestCombine:
             r, comb = combine_step(ga, gb, tbl, o, rng)
             if r == r1:
                 break
-        assert materialize(comb).keys == KeyPair(ka.x0.concat(kb.x1), ka.x1.concat(kb.x0))
+        assert comb.keys == KeyPair(ka.x0.concat(kb.x1), ka.x1.concat(kb.x0))
         # crossed subscripts pair up: (1+4, 2+3), relative phase 0
         assert (comb.t0, comb.t1) == (5, 5)
 
@@ -308,19 +303,78 @@ class TestCombine:
         # client knows the combined relative phase; dephasing with it makes
         # the Hadamard parity always 0 — the honest one-sided error
         o, rng, ka, kb, r0, r1, tbl, ga, gb = self._two(25, (1, 7), (2, 5))
-        from cvqcsim.gadget import branch_words
-
         for _ in range(200):
             r, comb = combine_step(ga, gb, tbl, o, rng)
             if r == r0:  # equal pairing: theta = (7+5) - (1+2)
                 rel = ((7 + 5) - (1 + 2)) % 8
+                merged = KeyPair(ka.x0.concat(kb.x0), ka.x1.concat(kb.x1))
             else:  # crossed pairing: theta = (7+2) - (1+5)
                 rel = ((7 + 2) - (1 + 5)) % 8
-            flat = materialize(dephase(comb, rel))
+                merged = KeyPair(ka.x0.concat(kb.x1), ka.x1.concat(kb.x0))
+            flat = dephase(comb, rel)
+            assert flat.keys == merged
             pad = Bits(rng.getrandbits(10), 10)
-            w0, w1 = branch_words(flat.keys, pad, o, 10)
+            w0, w1 = branch_words(merged, pad, o, 10)
             d = hadamard_sample(flat, pad, o, rng)
             assert d.parity_with(w0.xor(w1)) == 0
+
+
+class TestFoldedRegisterIsMeasuredWhole:
+    """A folded register as ``combine_step`` leaves it, with no build step,
+    is measured and decoded over its whole merged key pair: the parts are
+    merged once, not dropped and not twice."""
+
+    KAPPA = 8
+
+    def _fold(self, salt, n):
+        """n gadgets folded into a base, every phase 0, and the merged pair
+        built independently with ``Bits.concat``."""
+        o = RandomOracle(SEED)
+        rng = random.Random(salt)
+        pairs = [_pair(rng, self.KAPPA) for _ in range(n + 1)]
+        g = make_gadget(pairs[0])
+        x0, x1 = pairs[0]
+        for kb in pairs[1:]:
+            r0, r1 = _pair(rng, self.KAPPA)
+            tbl = make_combine_table(pairs[0], kb, r0, r1, self.KAPPA, o, rng)
+            r, g = combine_step(g, make_gadget(kb), tbl, o, rng)
+            crossed = int(r == r1)
+            x0, x1 = x0.concat(kb[crossed]), x1.concat(kb[1 - crossed])
+        return o, rng, g, KeyPair(x0, x1)
+
+    # each variant with its relative phase t1 - t0 (the fold leaves 0)
+    VARIANTS = {
+        "combined": (lambda g: g, 0),
+        "rotated": (lambda g: rotate_branches(g, 1, 5), 4),
+        "dephased": (lambda g: dephase(g, 4), 4),
+    }
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_measurements_and_decode_see_the_merged_pair(self, variant, n):
+        op, rel = self.VARIANTS[variant]
+        o, rng, comb, merged = self._fold(40 + n, n)
+        g = op(comb)
+        assert g.parts is not None  # not built
+        width = (n + 1) * self.KAPPA
+        assert merged.x0.width == width
+        assert {std_sample(g, rng) for _ in range(50)} == {(0, merged.x0), (1, merged.x1)}
+        # relative phase 0 or 4 puts every d in one parity class of the merged words
+        for _ in range(20):
+            pad = Bits(rng.getrandbits(self.KAPPA), self.KAPPA)
+            w0, w1 = branch_words(merged, pad, o, self.KAPPA)
+            d = hadamard_sample(g, pad, o, rng)
+            assert d.width == width + self.KAPPA
+            assert d.parity_with(w0.xor(w1)) == rel // 4
+        assert decode_output([g], [merged]) == (PlusStateVector((rel,)), g.t0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_conjugate_decode_sees_the_merged_pair(self, n):
+        o, rng, comb, merged = self._fold(50 + n, n)
+        s = ConjugateSession(o, rng, self.KAPPA)
+        s.gadgets[0] = rotate_branches(comb, 2, 7)
+        # the branch swap conjugates the relative phase 5 and the global phase is t1
+        assert s.decode_outputs([0], [merged]) == (PlusStateVector((3,)), 7)
 
 
 @pytest.fixture
