@@ -188,6 +188,10 @@ PRF_CALLS = {
         "test": (0, 40), "prep:stdb": (182, 40), "prep:coph": (202, 40),
         "prep:inph": (182, 40), "prep:bn": (182, 40), "comp": (182, 40),
     },
+    "ghz_collapse": {
+        "test": (0, 40), "prep:stdb": (182, 40), "prep:coph": (344, 40),
+        "prep:inph": (184, 40), "prep:bn": (262, 40), "comp": (182, 40),
+    },
 }
 
 
@@ -208,6 +212,9 @@ def test_prf_calls_per_session_are_pinned(counts):
 QUERY_CALLS = {
     "honest": {"test": 0, "prep:stdb": 274, "prep:coph": 598, "prep:inph": 278, "prep:bn": 434, "comp": 274},
     "random_response": {"test": 0, "prep:stdb": 272, "prep:coph": 312, "prep:inph": 272, "prep:bn": 272, "comp": 272},
+    # one decrypt per combine, of the equal-subscript row only: 60 fewer
+    # queries than honest in BN, whose combines open all four rows
+    "ghz_collapse": {"test": 0, "prep:stdb": 274, "prep:coph": 598, "prep:inph": 278, "prep:bn": 374, "comp": 274},
 }
 
 
