@@ -30,11 +30,11 @@ the strategy from it.  Built-in names:
   measurement hook (negative control; keeps honest internal state so widths
   are right).
 * ``corrupt_setup`` — flips a bit of one setup image y (fault injection).
-* ``ghz_collapse`` — replaces the output gadgets by a single two-branch
-  register over the concatenated keys at the start of a branch-number test.
-  It passes the combines deterministically, but a standard-basis measurement
-  of any complement gadget collapses the register, after which the Hadamard
-  coin is a fair-coin fail.
+* ``ghz_collapse`` — from the first output reveal of a branch-number test,
+  answers as if the output gadgets were one two-branch register over their
+  concatenated keys.  It passes the combines deterministically, but a
+  standard-basis measurement of any complement gadget collapses the
+  register, after which the Hadamard coin is a fair-coin fail.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .gadget import (
     dephase,
     hadamard_sample,
     make_gadget,
-    merge_keys,
     rotate_branches,
     std_sample,
 )
@@ -189,80 +188,62 @@ class CorruptSetupSession(ServerSession):
 
 
 class GhzSession(ServerSession):
-    """Branch-number attack: merge all output gadgets into one two-branch
-    register (|x0..x0> + e^{i phi}|x1..x1>)/sqrt2 when the branch-number test
-    starts revealing phases.
+    """Branch-number attack: from the first output reveal of a branch-number
+    test, hold the output gadgets as one two-branch register
+    (|x0..x0> + e^{i phi}|x1..x1>)/sqrt2, phi being the sum of the outputs'
+    relative phases, which the per-output gadgets keep.
 
-    Combines decrypt deterministically (branches stay aligned), the
-    complement standard-basis measurement collapses everything to one branch,
-    and a post-collapse Hadamard request can only be answered uniformly —
-    failing the parity check half the time.  Honest in every other round.
+    A combine opens only the equal-subscript row, so it answers r0 and folds
+    with subscripts kept.  The first standard-basis measurement of an output
+    collapses the register to one branch c, shared by every output; after
+    that a Hadamard request can only be answered uniformly, failing the
+    parity check half the time.  Honest in every other round.
     """
 
     def __init__(self, oracle, rng, kappa):
         super().__init__(oracle, rng, kappa)
-        self.outputs: dict[int, KeyPair] = {}  # each merged output's own key pair
-        self.joint: Gadget | None = None  # the register's phases; keys come per answer
+        self.entangled = False
         self.collapsed: int | None = None
-        self.folded: list[int] = []
-
-    def _merge(self) -> None:
-        t0 = t1 = 0
-        for i in sorted(i for i in self.gadgets if i >= 1):
-            g = self.gadgets.pop(i)
-            self.outputs[i] = g.keys
-            t0, t1 = t0 + g.t0, t1 + g.t1
-        self.joint = Gadget(None, t0 % 8, t1 % 8)
-
-    def _register(self, order: list[int]) -> Gadget:
-        """The joint register over the outputs in `order`, its branches
-        aligned: each branch key concatenates the outputs' same-subscript keys."""
-        first, *rest = order
-        keys = merge_keys(self.outputs[first], [(self.outputs[j], 0) for j in rest])
-        return self.joint._replace(base=keys)
 
     def dephase_reveal(self, idx, revealed):
         if idx >= 1:
-            if self.joint is None:
-                self._merge()
-            self.joint = dephase(self.joint, revealed)
+            self.entangled = True
+            self.gadgets[idx] = dephase(self.gadgets[idx], revealed)
         else:
             super().dephase_reveal(idx, revealed)
-
-    def _collapse(self) -> int:
-        if self.collapsed is None:
-            self.collapsed = 0 if self.rng.random() < 0.5 else 1
-        return self.collapsed
 
     def respond_std(self, indices):
         out = []
         for idx in indices:
-            if idx in self.outputs:
-                order = self.folded if self.folded and idx == self.folded[0] else [idx]
-                out.append(self._register(order).keys[self._collapse()])
+            g = self.gadgets.pop(idx)
+            if self.entangled and idx >= 1:
+                if self.collapsed is None:
+                    self.collapsed = 0 if self.rng.random() < 0.5 else 1
+                out.append(g.keys[self.collapsed])
             else:
-                out.append(std_sample(self.gadgets.pop(idx), self.rng)[1])
+                out.append(std_sample(g, self.rng)[1])
         return out
 
     def respond_combine(self, base, other, table):
-        if base not in self.outputs:
+        if not self.entangled:
             return super().respond_combine(base, other, table)
-        if not self.folded:
-            self.folded = [base]
-        key = self.outputs[self.folded[0]].x0.concat(self.outputs[other].x0)
-        hit = decrypt_row(table, key, self.oracle)
-        self.folded.append(other)
+        g_a = self.gadgets[base]
+        g_b = self.gadgets.pop(other)
+        hit = decrypt_row(table, g_a.base.x0.concat(g_b.keys.x0), self.oracle)
+        self.gadgets[base] = tuple.__new__(
+            Gadget, (g_a.base, (g_a.t0 + g_b.t0) % 8, (g_a.t1 + g_b.t1) % 8, (g_a.parts, g_b.keys, 0))
+        )
         return tuple.__new__(Bits, (hit[1] if hit else 0, self.kappa))
 
     def respond_hadamard(self, idx, pad):
-        if idx not in self.outputs:
+        if not self.entangled:
             return super().respond_hadamard(idx, pad)
-        g = self._register(self.folded or [idx])
-        if self.collapsed is not None:
-            # single branch left: Hadamard outcome is uniform
-            width = g.keys.x0.width + self.kappa
-            return Bits(self.rng.getrandbits(width), width)
-        return hadamard_sample(g, pad, self.oracle, self.rng)
+        g = self.gadgets.pop(idx)
+        if self.collapsed is None:
+            return hadamard_sample(g, pad, self.oracle, self.rng)
+        # single branch left: Hadamard outcome is uniform
+        width = g.keys.x0.width + self.kappa
+        return Bits(self.rng.getrandbits(width), width)
 
 
 # -- strategy selection by name + JSON blob (CLI / parallel workers) --------
