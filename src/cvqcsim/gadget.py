@@ -8,8 +8,8 @@ its phase mod 8.  So there is no general statevector and no float amplitude
 here, just (keys, t0, t1), and nothing to renormalise.
 
 Folds stay linear-time at any L.  A folded register keeps its base key pair
-(whose first kappa bits key every combine table) and the chain of key pairs
-merged into it, each with its reply's orientation.  Only ``combine_step``
+(the first gadget's, which keys every combine table) and the chain of key
+pairs merged into it, each with its reply's orientation.  Only ``combine_step``
 reads the base pair; ``Gadget.keys`` builds the full key pair on read, in one
 pass (``merge_keys``), so every measurement and the decode see the whole
 register.
@@ -77,7 +77,7 @@ class KeyPair(NamedTuple):
 
 
 class Gadget(NamedTuple):
-    base: KeyPair  # the first gadget's pair; its first kappa bits key combine tables
+    base: KeyPair  # the first gadget's pair, which keys combine tables
     t0: int  # branch phases in units of pi/4, in 0..7
     t1: int
     parts: tuple | None = None  # folded-in (earlier parts, key pair, crossed), newest first
@@ -226,19 +226,18 @@ def combine_step(
     register: outcome r0 keeps equal-subscript branch pairs (x0a x0b / x1a
     x1b), outcome r1 the crossed pairs (``merge_keys``), each with probability
     1/2; the phases of the paired branches add.
-    Table rows are keyed by the *first kappa bits* of the a-side branch (the
-    client builds them from the base gadget's keys), which are read off
-    g_a's base pair, so a fold never builds the register.  The merged
-    gadget keeps that base pair and chains g_b's full keys onto its parts;
-    its own full key pair is built when ``keys`` is read.
+    Table rows are keyed by the base gadget's keys (the client builds them
+    from those), which are read off g_a's base pair, so a fold never builds
+    the register.  The merged gadget keeps that base pair and chains g_b's
+    full keys onto its parts; its own full key pair is built when ``keys``
+    is read.
     """
     kappa = table.kappa
     keys_b = g_b.keys
     rows = []
     for x_a in g_a.base:
-        head = x_a.value >> (x_a.width - kappa)  # first kappa bits
         for x_b in keys_b:
-            hit = decrypt_row(table, ((head << x_b.width) | x_b.value, kappa + x_b.width), oracle)
+            hit = decrypt_row(table, ((x_a.value << x_b.width) | x_b.value, x_a.width + x_b.width), oracle)
             if hit is None:
                 raise TableMismatch("combine table has no row for a branch pair")
             rows.append(hit[1])

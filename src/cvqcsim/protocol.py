@@ -257,10 +257,10 @@ def run_add_phase(s: ClientSession) -> bool:
 def _fold(s: ClientSession, base: int, others: list[int]) -> tuple[KeyPair, int] | None:
     """Combine `others` into `base` one at a time, tracking the client-side
     key pair and relative phase of the merged gadget.  Tables are keyed on
-    the base gadget's original keys (the first kappa bits of the merged
-    register) crossed with the incoming gadget's keys; the server's reply says
-    which pairing survived (r1: crossed subscripts), and the phases pair up
-    like the keys, so a crossed merge subtracts the incoming relative phase.
+    the base gadget's original keys crossed with the incoming gadget's keys;
+    the server's reply says which pairing survived (r1: crossed subscripts),
+    and the phases pair up like the keys, so a crossed merge subtracts the
+    incoming relative phase.
     The merged key pair is built once, after the last reply (``merge_keys``).
     Returns None as soon as a reply is off-table."""
     server, tr, oracle, rng, kappa, keys, thetas = (
