@@ -95,7 +95,7 @@ class RandomOracle:
 
 def fresh_pad(rng: Random, kappa: int) -> Bits:
     """Uniform kappa-bit pad from the session RNG (client side of Hadamard tests)."""
-    return Bits(rng.getrandbits(kappa) if kappa else 0, kappa)
+    return Bits(rng.getrandbits(kappa), kappa)
 
 
 def randbelow(rng: Random, n: int) -> int:
