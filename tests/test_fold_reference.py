@@ -77,20 +77,29 @@ def _tensor(state, kp: KeyPair, phases) -> dict[tuple[int, ...], complex]:
     return {xs + (x.value,): a * _amp(t) for xs, a in state.items() for x, t in ((kp.x0, t0), (kp.x1, t1))}
 
 
-def _combine_and_measure(state, j, table, oracle, kappa) -> dict[int, tuple[float, dict]]:
-    """Apply the combine table to registers 0 and j, then measure r: each
-    value of r with its probability and the state it leaves."""
-    with_r = {}
+def _measure(state, f) -> dict:
+    """Measure the value f(basis state): each value with its probability and
+    the renormalised state it leaves."""
+    parts: dict = {}
     for xs, a in state.items():
-        hit = decrypt_row(table, ((xs[0] << kappa) | xs[j], 2 * kappa), oracle)
-        assert hit is not None, "an honest branch pair opens no row"
-        with_r[xs, hit[1]] = a
+        parts.setdefault(f(xs), {})[xs] = a
     out = {}
-    for r in {r for _, r in with_r}:
-        branch = {xs: a for (xs, rr), a in with_r.items() if rr == r}
-        p = sum(abs(a) ** 2 for a in branch.values())
-        out[r] = (p, {xs: a / p**0.5 for xs, a in branch.items()})
+    for v, part in parts.items():
+        p = sum(abs(a) ** 2 for a in part.values())
+        out[v] = (p, {xs: a / p**0.5 for xs, a in part.items()})
     return out
+
+
+def _combine_and_measure(state, base, j, table, oracle, kappa) -> dict[Bits, tuple[float, dict]]:
+    """Apply the combine table to registers base and j, then measure r: each
+    value of r with its probability and the state it leaves."""
+
+    def r_of(xs):
+        hit = decrypt_row(table, ((xs[base] << kappa) | xs[j], 2 * kappa), oracle)
+        assert hit is not None, "an honest branch pair opens no row"
+        return Bits(hit[1], kappa)
+
+    return _measure(state, r_of)
 
 
 def _concat(xs: tuple[int, ...], kappa: int) -> int:
@@ -125,12 +134,11 @@ def _fold_tree(pairs, phases, tables, oracle, kappa):
     for j, table in enumerate(tables, start=1):
         nxt = []
         for g, st in leaves:
-            law = _combine_and_measure(_tensor(st, pairs[j], phases[j]), j, table, oracle, kappa)
+            law = _combine_and_measure(_tensor(st, pairs[j], phases[j]), 0, j, table, oracle, kappa)
             outcomes = {}
             for u in (0.25, 0.75):
                 r, folded = combine_step(g, gadgets[j], table, oracle, _Coin(u))
-                assert r.width == kappa
-                outcomes[r.value] = folded
+                outcomes[r] = folded
             assert _tv({r: p for r, (p, _) in law.items()}, {r: 0.5 for r in outcomes}) < TOL
             for r, folded in outcomes.items():
                 _assert_same_state(folded, law[r][1], kappa)
@@ -163,10 +171,10 @@ def _phase_grid(rng, n):
     return grid
 
 
-def _dephase(state, x1_base: int, revealed: int) -> dict[tuple[int, ...], complex]:
-    """Rotate by e^{-i revealed pi/4} every basis state whose base register is x1_base."""
+def _dephase(state, j, x1: int, revealed: int) -> dict[tuple[int, ...], complex]:
+    """Rotate by e^{-i revealed pi/4} every basis state whose register j is x1."""
     turn = cmath.exp(-1j * cmath.pi * revealed / 4)
-    return {xs: a * turn if xs[0] == x1_base else a for xs, a in state.items()}
+    return {xs: a * turn if xs[j] == x1 else a for xs, a in state.items()}
 
 
 def _hadamard_law(state, pad: Bits, oracle, kappa) -> dict[int, float]:
@@ -209,7 +217,7 @@ def test_folded_hadamard_law_matches_the_reference():
             for g, state in _fold_tree(pairs, phases, tables, oracle, kappa):
                 pad = Bits(rng.getrandbits(kappa), kappa)
                 revealed = rng.randrange(8)
-                ref = _hadamard_law(_dephase(state, pairs[0].x1.value, revealed), pad, oracle, kappa)
+                ref = _hadamard_law(_dephase(state, 0, pairs[0].x1.value, revealed), pad, oracle, kappa)
                 law = sampler_distribution(dephase(g, revealed), pad, oracle, kappa)
                 assert set(ref) == set(law)
                 assert _tv(ref, law) < TOL
@@ -319,19 +327,6 @@ def _enumerated_law(play) -> dict:
     return law
 
 
-def _measure(state, f) -> dict:
-    """Measure the value f(basis state): each value with its probability and
-    the renormalised state it leaves."""
-    parts: dict = {}
-    for xs, a in state.items():
-        parts.setdefault(f(xs), {})[xs] = a
-    out = {}
-    for v, part in parts.items():
-        p = sum(abs(a) ** 2 for a in part.values())
-        out[v] = (p, {xs: a / p**0.5 for xs, a in part.items()})
-    return out
-
-
 def _reference_law(state, steps) -> dict:
     """The joint law of the values that `steps` measure one after another,
     each step mapping a state to ``_measure``'s output."""
@@ -342,24 +337,6 @@ def _reference_law(state, steps) -> dict:
     for vs, p, _ in leaves:
         law[vs] = law.get(vs, 0.0) + p
     return law
-
-
-def _dephase_register(state, j, x1: int, revealed: int) -> dict[tuple[int, ...], complex]:
-    """Rotate by e^{-i revealed pi/4} every basis state whose register j is x1."""
-    turn = cmath.exp(-1j * cmath.pi * revealed / 4)
-    return {xs: a * turn if xs[j] == x1 else a for xs, a in state.items()}
-
-
-def _combine_on(base, j, table, oracle, kappa):
-    """A step that applies a combine table to registers base and j, then
-    measures r."""
-
-    def r_of(xs):
-        hit = decrypt_row(table, ((xs[base] << kappa) | xs[j], 2 * kappa), oracle)
-        assert hit is not None, "an honest branch pair opens no row"
-        return Bits(hit[1], kappa)
-
-    return lambda state: _measure(state, r_of)
 
 
 def _hadamard_on(subset, pad, oracle, kappa):
@@ -385,7 +362,7 @@ class _Round:
     the sum of the outputs' and differs from the base's."""
 
     def __init__(self, kappa, L, rng, oracle):
-        self.kappa, self.L, self.rng, self.oracle = kappa, L, rng, oracle
+        self.kappa, self.L, self.oracle = kappa, L, oracle
         self.claws = {idx: eval_claw(keygen(kappa, rng), rng) for idx in (HELPER, *range(L + 1))}
         self.pairs = {idx: KeyPair(c.x0, c.x1) for idx, c in self.claws.items()}
         self.phases = [(rng.randrange(8), rng.randrange(8)) for _ in range(L + 1)]
@@ -432,8 +409,10 @@ class _Round:
         for i, table in enumerate(self.ptables):
             state = _kickback(state, i, table, pairs[HELPER], oracle, kappa)
         for i, v in self.reveals.items():
-            state = _dephase_register(state, i, pairs[i].x1.value, v)
-        steps = [_combine_on(subset[0], j, tables[j], oracle, kappa) for j in subset[1:]]
+            state = _dephase(state, i, pairs[i].x1.value, v)
+        steps = [
+            lambda st, j=j: _combine_and_measure(st, subset[0], j, tables[j], oracle, kappa) for j in subset[1:]
+        ]
         steps.append(lambda st: _measure(st, lambda xs: tuple(Bits(xs[i], kappa) for i in complement)))
         if coin == "std":
             width = len(subset) * kappa
@@ -444,6 +423,7 @@ class _Round:
 
 
 def _marginal(law, f) -> dict:
+    """The law of f(value) when the value has law `law`."""
     out: dict = {}
     for vs, p in law.items():
         out[f(vs)] = out.get(f(vs), 0.0) + p
@@ -471,6 +451,7 @@ def test_ghz_branch_number_round_matches_a_ghz_register():
                     tables[j] = make_combine_table(
                         pairs[base], pairs[j], (r0.value, kappa), (r1.value, kappa), kappa, oracle, rng
                     )
+                folded = merge_keys(pairs[base], [(pairs[j], 0) for j in others])
                 pad = Bits(rng.getrandbits(kappa), kappa)
                 for coin in ("std", "had"):
                     law = _enumerated_law(rnd.play(subset, tables, coin, pad))
@@ -485,10 +466,7 @@ def test_ghz_branch_number_round_matches_a_ghz_register():
                     assert _tv(_marginal(law, lambda vs: vs[n][1:]), collapse if outside else {(): 1.0}) < TOL
                     if coin == "std":
                         # and the coin answers the folded register's x_c
-                        want = {
-                            (tuple(pairs[i][c] for i in outside), merge_keys(pairs[base], [(pairs[j], 0) for j in others])[c]): 0.5
-                            for c in (0, 1)
-                        }
+                        want = {(tuple(pairs[i][c] for i in outside), folded[c]): 0.5 for c in (0, 1)}
                         assert _tv(_marginal(law, lambda vs: (vs[n][1:], vs[-1])), want) < TOL
                         continue
                     d_law = _marginal(law, lambda vs: vs[-1])
@@ -499,6 +477,6 @@ def test_ghz_branch_number_round_matches_a_ghz_register():
                         t0 = sum(t for t, _ in rnd.phases[1:])
                         t1 = sum(t for _, t in rnd.phases[1:]) - sum(rnd.reveals.values())
                         assert (t1 - t0) % 8 == rnd.residual % 8
-                        g = make_gadget(merge_keys(pairs[base], [(pairs[j], 0) for j in others]), (t0, t1))
+                        g = make_gadget(folded, (t0, t1))
                         want = {Bits(d, width): p for d, p in sampler_distribution(g, pad, oracle, kappa).items()}
                         assert _tv(d_law, want) < TOL
