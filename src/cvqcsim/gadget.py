@@ -226,11 +226,10 @@ def combine_step(
     register: outcome r0 keeps equal-subscript branch pairs (x0a x0b / x1a
     x1b), outcome r1 the crossed pairs (``merge_keys``), each with probability
     1/2; the phases of the paired branches add.
-    Table rows are keyed by the base gadget's keys (the client builds them
-    from those), which are read off g_a's base pair, so a fold never builds
-    the register.  The merged gadget keeps that base pair and chains g_b's
-    full keys onto its parts; its own full key pair is built when ``keys``
-    is read.
+    The client keys table rows by the base gadget's keys, which the server
+    reads off g_a's base pair, so a fold never builds the register.  The
+    merged gadget keeps that base pair and chains g_b's full keys onto its
+    parts; its own full key pair is built when ``keys`` is read.
     """
     kappa = table.kappa
     keys_b = g_b.keys
